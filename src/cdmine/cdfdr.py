@@ -13,13 +13,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import eval_legendre
-from scipy.stats import chi2, norm
+from scipy.special import eval_legendre, log_ndtr, ndtri_exp
+from scipy.stats import norm
 
 from .errors import ConfigError, TooFewItems, ZeroSpread
 
 U_EPS = 1e-12
 DENSITY_FLOOR = 0.01
+# p-values above 1 - 1e-16 are clipped there, so a flagged or null item
+# (CR = 0, p = 1) gets a finite z of about -8.2.
+LOG_P_MAX = np.log(1.0 - 1e-16)
 
 
 class NullMethod(str, Enum):
@@ -151,12 +154,52 @@ def select(inverse_fdr, u_flat, fdr_level: float = 0.2, sides: str = "two") -> n
     return mask
 
 
-def cr_to_z(cr, n: int, m: int) -> np.ndarray:
-    """One-sided bridge: CR values map to z through the chi-square p-value."""
-    cr = np.asarray(cr, dtype=float)
-    p = chi2.sf(n * cr, df=m)
-    p = np.clip(p, 1e-300, 1.0 - 1e-16)
-    return norm.isf(p)
+def cr_to_z(cr, n, m) -> np.ndarray:
+    """One-sided bridge: CR values map to z through the chi-square p-value.
+
+    The p-value is taken in log space, so z stays finite and increasing at
+    any strength.  n (sample size) and m (integer df) broadcast against cr.
+    """
+    log_p = chi2_logsf(np.asarray(n) * np.asarray(cr, dtype=float), m)
+    return -ndtri_exp(np.minimum(log_p, LOG_P_MAX))
+
+
+def chi2_logsf(x, df) -> np.ndarray:
+    """log P(chi-square_df > x) for integer df >= 1, finite for finite x >= 0.
+
+    Closed forms: even df = 2k gives exp(-x/2) sum_{j<k} (x/2)^j / j!; odd
+    df = 2k+1 gives 2 Phi(-sqrt x) + 2 phi(sqrt x) sum_{j=1..k} x^(j-1/2) /
+    (1 * 3 * ... * (2j-1)).
+    """
+    x, df = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(df))
+    out = np.empty(x.shape)
+    for d in np.unique(df):
+        sel = df == d
+        out[sel] = _chi2_logsf_int(x[sel], int(d))
+    return out
+
+
+def _chi2_logsf_int(x, df: int):
+    if df < 1:
+        raise ValueError("chi-square df must be >= 1")
+    if df % 2 == 0:
+        h = x / 2.0
+        term, total = np.ones_like(h), np.zeros_like(h)
+        for j in range(1, df // 2):
+            term = term * h / j
+            total = total + term
+        return -h + np.log1p(total)
+    t = np.sqrt(x)
+    head = np.log(2.0) + log_ndtr(-t)
+    if df == 1:
+        return head
+    term = total = t
+    for j in range(2, df // 2 + 1):
+        term = term * x / (2 * j - 1)
+        total = total + term
+    with np.errstate(divide="ignore"):
+        tail = np.log(2.0) + norm.logpdf(t) + np.log(total)
+    return np.logaddexp(head, tail)
 
 
 def cdfdr_pipeline(scores, config: FdrConfig = FdrConfig()) -> FdrResult:

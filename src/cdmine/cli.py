@@ -22,9 +22,9 @@ from .errors import ConfigError, LabelError, ParseError
 from .pipeline import (
     analyze,
     analyze_variable,
-    curve_grid,
     export_plots,
     fmt,
+    write_curves,
     write_ranked_csv,
     write_summary_json,
 )
@@ -151,17 +151,7 @@ def cmd_cd(args) -> int:
         if va.cd is None:
             print(f"{name}: skipped ({va.cr.flag})")
             continue
-        u, dhat = curve_grid(va)
-        path = os.path.join(args.out, f"cd_{name}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("u,dhat\n")
-            for ui, di in zip(u, dhat):
-                fh.write(f"{fmt(ui)},{fmt(di)}\n")
-        path = os.path.join(args.out, f"pp_{name}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("h,f\n")
-            for h, f in va.cd.pp_points:
-                fh.write(f"{fmt(h)},{fmt(f)}\n")
+        write_curves(va, args.out)
         print(f"{name}: wrote cd/pp curves")
     return EXIT_OK
 

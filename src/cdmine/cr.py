@@ -3,7 +3,7 @@ ranking and impact-type categorization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
@@ -45,26 +45,35 @@ def cr_statistic(components: np.ndarray) -> float:
     return float(components @ components)
 
 
-def null_pvalue(cr: float, n: int, m: int) -> float:
-    """Upper-tail chi-square (m df) probability at n * cr."""
-    if n <= 0 or m < 1:
+def null_pvalue(cr, n, m):
+    """Upper-tail chi-square (m df) probability at n * cr.
+
+    Arrays broadcast and give an array; scalars give a float.
+    """
+    n, m = np.asarray(n), np.asarray(m)
+    if np.any(n <= 0) or np.any(m < 1):
         raise ValueError("need n > 0 and m >= 1")
-    return float(chi2.sf(n * cr, df=m))
+    p = chi2.sf(n * np.asarray(cr, dtype=float), df=m)
+    return float(p) if p.ndim == 0 else p
 
 
 def categorize(components: np.ndarray) -> str:
     """Impact type: the dominant component's label if it carries more than
     half of CR, else 'mixed'.  Components beyond the fourth have no single
     moment label and fall back to 'mixed'."""
-    components = np.asarray(components, dtype=float)
-    sq = components**2
-    total = sq.sum()
-    if total <= 0.0:
-        return "mixed"
-    top = int(np.argmax(sq))
-    if sq[top] > 0.5 * total:
-        return CATEGORY_BY_COMPONENT.get(top + 1, "mixed")
-    return "mixed"
+    return categorize_rows(np.atleast_2d(np.asarray(components, dtype=float)))[0]
+
+
+def categorize_rows(rows: np.ndarray) -> list:
+    """``categorize`` of each row of a (p, M) array of components."""
+    sq = np.asarray(rows, dtype=float) ** 2
+    total = sq.sum(axis=1)
+    top = sq.argmax(axis=1)
+    dominant = (total > 0.0) & (sq[np.arange(len(sq)), top] > 0.5 * total)
+    return [
+        CATEGORY_BY_COMPONENT.get(t + 1, "mixed") if d else "mixed"
+        for t, d in zip(top.tolist(), dominant.tolist())
+    ]
 
 
 def cr_result(data: TwoSampleData, basis: ScoreBasis, variable_id: str = "") -> CrResult:
@@ -104,6 +113,3 @@ def rank_variables(results: list) -> RankedReport:
         cats.setdefault(r.category, []).append(r)
     return RankedReport(ordered=ordered, ranks=ranks, sorted_cr=sorted_cr, category_top=cats)
 
-
-def with_flag(result: CrResult, flag: str) -> CrResult:
-    return replace(result, flag=flag)

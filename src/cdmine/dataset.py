@@ -35,8 +35,9 @@ def load_csv(
     """Parse a header-bearing CSV into feature columns and a binary label.
 
     Feature cells matching a missing token get masked; any other non-numeric
-    cell is a ParseError with its location.  Column kind is inferred from the
-    distinct-value count (<= 10 distinct -> discrete).
+    cell, and a repeated header name, is a ParseError with its location.
+    Column kind is inferred from the distinct-value count (<= 10 distinct ->
+    discrete).
     """
     missing = set(missing_tokens)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -46,6 +47,11 @@ def load_csv(
         except StopIteration:
             raise ParseError("empty file", row=1) from None
         rows = list(reader)
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise ParseError(f"duplicate column name {name!r}", row=1, column=name)
+        seen.add(name)
     if label_column not in header:
         raise LabelError(f"label column {label_column!r} not in header")
     label_idx = header.index(label_column)

@@ -1,0 +1,152 @@
+"""Panel-at-once CR engine: the CR components of many columns in one pass.
+
+Every complete, tie-free column of length n has the mid-ranks (i - 1/2)/n in
+some order, so all such columns share one n x M score table T.  Their label
+correlations are a gather of the labels by each column's sort order and one
+matmul with T.  Columns with ties or missing entries take a batched form of
+the single-column path instead: mid-ranks and tie counts come from the same
+sort, then a two-pass Gram-Schmidt runs under per-column weights 1/n_j.
+Which path a column takes depends only on whether it is complete and
+tie-free.
+
+Columns are processed in blocks of BLOCK_COLUMNS, so the temporaries stay
+small next to the dataset itself.  Within a block, arrays hold one column
+per row.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import NonFinite
+from .score_basis import RESIDUAL_NORM_FLOOR
+
+BLOCK_COLUMNS = 512
+
+
+@dataclass(frozen=True)
+class PanelCr:
+    """Per-column results of one panel, in input order."""
+
+    components: np.ndarray  # (p, m): R_1..R_m, zero past m_used
+    n_effective: np.ndarray  # (p,) non-missing count
+    m_used: np.ndarray  # (p,) scores behind each CR, 0 for a flagged column
+    flags: list  # "" or the flag of each column
+
+
+def panel_cr(variables, labels, m: int, table=None) -> PanelCr:
+    """CR components with up to m >= 1 scores of every column of a panel.
+
+    ``table`` is the shared n x m score table of the grid (i - 1/2)/n, or
+    None when it could not be built; complete, tie-free columns then take
+    the masked path too.  A non-missing NaN or infinite value in a column
+    with at least two non-missing entries raises NonFinite naming it.
+    """
+    y = np.asarray(labels)
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("labels must be coded 0/1")
+    y = y.astype(float)
+    p = len(variables)
+    out = PanelCr(
+        components=np.zeros((p, m)),
+        n_effective=np.zeros(p, dtype=int),
+        m_used=np.zeros(p, dtype=int),
+        flags=[""] * p,
+    )
+    for start in range(0, p, BLOCK_COLUMNS):
+        _block(variables[start : start + BLOCK_COLUMNS], y, m, table, out, start)
+    return out
+
+
+def _block(cols, y, m, table, out, start):
+    n = y.size
+    present = ~np.stack([c.missing for c in cols])
+    x = np.where(present, np.stack([c.values for c in cols]), np.nan)
+    nj = present.sum(axis=1)
+    n1 = present @ y
+    bad = np.flatnonzero((nj >= 2) & (present & ~np.isfinite(x)).any(axis=1))
+    if bad.size:
+        name = cols[bad[0]].name
+        raise NonFinite(f"variable {name!r}: non-missing NaN or infinite value")
+
+    order = np.argsort(x, axis=1)  # missing (NaN) entries last
+    xs = np.take_along_axis(x, order, axis=1)
+    first = np.ones(x.shape, dtype=bool)  # sorted entry starts a new distinct value
+    first[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    present_sorted = np.arange(n) < nj[:, None]
+    distinct = (first & present_sorted).sum(axis=1)
+
+    flags = np.full(len(cols), "", dtype=object)
+    flags[(n1 < 2) | (nj - n1 < 2)] = "class-too-small"
+    flags[distinct == 1] = "constant"
+    flags[nj < 2] = "all-missing"
+    ok = flags == ""
+    shared = ok & (nj == n) & (distinct == n) & (table is not None)
+    comps = out.components[start : start + len(cols)]
+    m_used = out.m_used[start : start + len(cols)]
+
+    if shared.any():
+        # Complete and tie-free: the score of the entry of rank r is T[r - 1].
+        mean_t = table.mean(axis=0)
+        sd_t = np.sqrt(np.maximum((table**2).mean(axis=0) - mean_t**2, 0.0))
+        pi = n1[shared, None] / n
+        cov = y[order[shared]] @ table / n - pi * mean_t
+        comps[shared] = cov / (np.sqrt(pi * (1.0 - pi)) * sd_t)
+        m_used[shared] = m
+
+    masked = np.flatnonzero(ok & ~shared)
+    if masked.size:
+        comps[masked], m_used[masked] = _masked(
+            order[masked], first[masked], present[masked], nj[masked], n1[masked], y, m
+        )
+        flags[masked[m_used[masked] < 1]] = "rank-deficient"
+        reduced = masked[(m_used[masked] >= 1) & (m_used[masked] < m)]
+        flags[reduced] = [f"reduced-m:{k}" for k in m_used[reduced]]
+
+    out.n_effective[start : start + len(cols)] = nj
+    out.flags[start : start + len(cols)] = flags.tolist()
+
+
+def _masked(order, first, present, nj, n1, y, m):
+    """Components (q, m) and m_used (q,) of q non-degenerate columns with
+    ties or missing entries.  ``first`` marks, in each column's sort order,
+    the entries that start a new distinct value."""
+    q, n = order.shape
+    nj_ = nj[:, None]
+    present_sorted = np.arange(n) < nj_
+    # Tie groups of the present entries: ids, sizes and average ranks.
+    gid = np.cumsum(first, axis=1) - 1 + n * np.arange(q)[:, None]
+    sizes = np.bincount(gid[present_sorted], minlength=n * q).reshape(q, n)
+    half_rank = np.cumsum(sizes, axis=1) - sizes / 2.0  # average rank - 1/2
+    u = np.zeros((q, n))
+    np.put_along_axis(u, order, half_rank.ravel()[gid] * present_sorted, axis=1)
+    u /= nj_
+    sigma = np.sqrt(np.maximum((1.0 - (sizes**3.0).sum(axis=1) / nj**3.0) / 12.0, 0.0))
+    w = present.astype(float)
+    s1 = (u - 0.5) / sigma[:, None] * w
+
+    scores = np.zeros((m, q, n))
+    scores[0] = s1
+    m_used = np.minimum(m, nj - 2)
+    for k in range(2, m + 1):
+        v = s1**k
+        for _ in range(2):  # re-orthogonalization pass
+            v = v - w * (v.sum(axis=1, keepdims=True) / nj_)
+            for j in range(k - 1):
+                c = np.einsum("ij,ij->i", scores[j], v)[:, None] / nj_
+                v = v - c * scores[j]
+        norm = np.sqrt(np.einsum("ij,ij->i", v, v) / nj)
+        m_used = np.where(norm < RESIDUAL_NORM_FLOOR, np.minimum(m_used, k - 1), m_used)
+        scores[k - 1] = v / np.where(norm > 0.0, norm, 1.0)[:, None]
+
+    # Same centring and scaling as cr.component_correlations.
+    pi = n1 / nj
+    mean_s = scores.sum(axis=2) / nj
+    cov = scores @ y / nj - pi * mean_s
+    sd_s = np.sqrt(np.maximum((scores**2).sum(axis=2) / nj - mean_s**2, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = cov / (np.sqrt(pi * (1.0 - pi)) * sd_s)
+    r = np.where(np.arange(len(r))[:, None] < m_used, r, 0.0)
+    return r.T, m_used

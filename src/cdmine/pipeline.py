@@ -6,24 +6,26 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
 
 from . import svgplot
-from .cdfdr import FdrConfig, FdrResult, NullMethod, cdfdr_pipeline
+from .cdfdr import FdrConfig, FdrResult, NullMethod, cdfdr_pipeline, cr_to_z
 from .comp_density import CdEstimate, TwoSampleData, cd_estimate, estimate_cd
-from .cr import CrResult, RankedReport, rank_variables
-from .dataset import Dataset
-from .errors import (
-    AllMissing,
-    CdmineError,
-    DegenerateVariable,
-    RankDeficient,
+from .cr import (
+    CrResult,
+    RankedReport,
+    categorize_rows,
+    cr_result,
+    null_pvalue,
+    rank_variables,
 )
-from .midrank import VariableColumn, mid_rank_transform
-from .score_basis import ScoreBasis, build_score_basis
+from .dataset import Dataset
+from .errors import AllMissing, ConfigError, DegenerateVariable, RankDeficient
+from .midrank import MidRankVector, VariableColumn, mid_rank_transform
+from .panel import panel_cr
+from .score_basis import ScoreBasis, build_score_basis, feasible_score_basis
 
 CURVE_GRID_SIZE = 512
 MIN_FDR_ITEMS = 20
@@ -36,10 +38,18 @@ def fmt(x) -> str:
 
 @dataclass(frozen=True)
 class VariableAnalysis:
+    """One variable's CR result.
+
+    ``analyze`` leaves basis and cd out; ``with_density`` rebuilds them
+    from the column and labels kept here.
+    """
+
     name: str
     cr: CrResult
     basis: ScoreBasis | None = None
     cd: CdEstimate | None = None
+    column: VariableColumn | None = None
+    labels: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -52,20 +62,23 @@ class AnalysisReport:
     top_k: int
     n: int
 
-    def selected_names(self):
+    def selected_positions(self):
+        """Input positions of the CDfdr-selected variables, in rank order."""
         if self.fdr is None:
             return []
-        sel = {
-            self.per_variable[i].name
-            for i in np.flatnonzero(self.fdr.selected)
-        }
-        return [r.variable_id for r in self.ranked.ordered if r.variable_id in sel]
+        return [int(i) for i in np.argsort(self.ranked.ranks) if self.fdr.selected[i]]
+
+    def selected_names(self):
+        return [self.per_variable[i].name for i in self.selected_positions()]
 
 
 def analyze_variable(
     col: VariableColumn, labels: np.ndarray, m: int
 ) -> VariableAnalysis:
-    """Single-variable pass; degenerate columns come back flagged, not raised."""
+    """Single-column reference path, basis and density estimate included.
+
+    Degenerate columns come back flagged, not raised.
+    """
     name = col.name
     mask = ~col.missing
     y = np.asarray(labels)[mask]
@@ -80,7 +93,7 @@ def analyze_variable(
             variable_id=name,
             flag=reason,
         )
-        return VariableAnalysis(name=name, cr=cr)
+        return VariableAnalysis(name=name, cr=cr, column=col, labels=labels)
 
     try:
         mid = mid_rank_transform(col)
@@ -91,30 +104,44 @@ def analyze_variable(
     counts = np.bincount(y, minlength=2)
     if counts[0] < 2 or counts[1] < 2:
         return flagged("class-too-small", mid.n_effective)
-
-    m_used = m
-    basis = None
-    while m_used >= 1:
-        try:
-            basis = build_score_basis(mid, m_used)
-            break
-        except (RankDeficient, DegenerateVariable):
-            m_used -= 1
+    basis = feasible_score_basis(mid, m)
     if basis is None:
         return flagged("rank-deficient", mid.n_effective)
 
     data = TwoSampleData.from_arrays(mid.u, y)
-    cd = cd_estimate(data, basis)
-    from .cr import cr_result
-
     cr = cr_result(data, basis, variable_id=name)
-    if m_used < m:
+    if basis.m < m:
         comps = np.zeros(m)
-        comps[:m_used] = cr.components
-        from dataclasses import replace
+        comps[: basis.m] = cr.components
+        cr = replace(cr, components=comps, flag=f"reduced-m:{basis.m}")
+    return VariableAnalysis(
+        name=name,
+        cr=cr,
+        basis=basis,
+        cd=cd_estimate(data, basis),
+        column=col,
+        labels=labels,
+    )
 
-        cr = replace(cr, components=comps, flag=f"reduced-m:{m_used}")
-    return VariableAnalysis(name=name, cr=cr, basis=basis, cd=cd)
+
+def with_density(va: VariableAnalysis) -> VariableAnalysis:
+    """``va`` with its basis and density estimate, rebuilt through
+    ``analyze_variable`` when ``analyze`` left them out."""
+    if va.cd is not None or va.column is None:
+        return va
+    return analyze_variable(va.column, va.labels, len(va.cr.components))
+
+
+def shared_score_table(n: int, m: int):
+    """Scores of the mid-rank grid (i - 1/2)/n, which every complete,
+    tie-free column of length n shares; None when no m-score basis exists."""
+    u = (np.arange(n) + 0.5) / n
+    sigma = np.sqrt((1.0 - 1.0 / n**2) / 12.0) if n > 0 else 0.0
+    try:
+        mid = MidRankVector(u=u, n_effective=n, sigma_mid=sigma)
+        return build_score_basis(mid, m).score_matrix
+    except (ValueError, DegenerateVariable, RankDeficient):
+        return None
 
 
 def analyze(
@@ -124,23 +151,40 @@ def analyze(
     null_method: NullMethod = NullMethod.POOLED_MOMENTS,
     top_k: int = 10,
 ) -> AnalysisReport:
-    per_variable = []
-    for col in dataset.variables:
-        try:
-            per_variable.append(analyze_variable(col, dataset.labels, m))
-        except CdmineError as exc:
-            raise type(exc)(f"variable {col.name!r}: {exc}") from exc
+    if m < 1:
+        raise ConfigError("m must be >= 1")
+    labels = np.asarray(dataset.labels)
+    panel = panel_cr(dataset.variables, labels, m, shared_score_table(labels.size, m))
+    cr = (panel.components**2).sum(axis=1)
+    ok = panel.m_used > 0
+    pvalue = np.ones(cr.size)
+    pvalue[ok] = null_pvalue(cr[ok], panel.n_effective[ok], panel.m_used[ok])
+    categories = categorize_rows(panel.components)
+    per_variable = [
+        VariableAnalysis(
+            name=col.name,
+            cr=CrResult(
+                components=panel.components[i],
+                cr=float(cr[i]),
+                pvalue=float(pvalue[i]),
+                category=categories[i],
+                n_effective=int(panel.n_effective[i]),
+                variable_id=col.name,
+                flag=panel.flags[i],
+            ),
+            column=col,
+            labels=labels,
+        )
+        for i, col in enumerate(dataset.variables)
+    ]
 
     ranked = rank_variables([va.cr for va in per_variable])
 
     fdr = None
     if len(per_variable) >= MIN_FDR_ITEMS:
-        # Bridge each variable's chi-square p-value to a one-sided z-score;
-        # using the p-value directly keeps reduced-df columns comparable.
-        pvals = np.clip(
-            np.array([va.cr.pvalue for va in per_variable]), 1e-300, 1.0 - 1e-16
-        )
-        z = norm.isf(pvals)
+        # A one-sided z per variable through its own chi-square df keeps
+        # reduced-df columns comparable; flagged columns sit at p = 1.
+        z = cr_to_z(cr, panel.n_effective, np.maximum(panel.m_used, 1))
         fdr = cdfdr_pipeline(
             z,
             FdrConfig(
@@ -163,6 +207,7 @@ def analyze(
 
 def curve_grid(va: VariableAnalysis, size: int = CURVE_GRID_SIZE):
     """(u, dhat) on an open-interval grid for one analyzed variable."""
+    va = with_density(va)
     if va.cd is None or va.basis is None:
         raise DegenerateVariable(f"variable {va.name!r} has no density estimate")
     u = (np.arange(size) + 0.5) / size
@@ -172,8 +217,6 @@ def curve_grid(va: VariableAnalysis, size: int = CURVE_GRID_SIZE):
 
 def write_ranked_csv(report: AnalysisReport, path):
     m = report.m
-    by_name = {va.name: va for va in report.per_variable}
-    idx_by_name = {va.name: i for i, va in enumerate(report.per_variable)}
     header = (
         ["variable_id", "n_effective"]
         + [f"R{a}" for a in range(1, m + 1)]
@@ -181,8 +224,8 @@ def write_ranked_csv(report: AnalysisReport, path):
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for rank0, cr in enumerate(report.ranked.ordered):
-            i = idx_by_name[cr.variable_id]
+        for rank0, i in enumerate(np.argsort(report.ranked.ranks)):
+            cr = report.per_variable[i].cr
             if report.fdr is not None:
                 z, inv = fmt(report.fdr.z[i]), fmt(report.fdr.inverse_fdr[i])
                 sel = "1" if report.fdr.selected[i] else "0"
@@ -249,34 +292,43 @@ def export_plots(report: AnalysisReport, out_dir, svg: bool = False):
         svgplot.polyline_svg(pts, path, xlabel="rank", ylabel="CR")
         written.append(path)
 
-    by_name = {va.name: va for va in report.per_variable}
-    for name in report.selected_names()[: report.top_k]:
-        va = by_name[name]
-        if va.cd is None:
-            continue
-        safe = _safe_name(name)
-        u, dhat = curve_grid(va)
-        path = os.path.join(out_dir, f"cd_{safe}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("u,dhat\n")
-            for ui, di in zip(u, dhat):
-                fh.write(f"{fmt(ui)},{fmt(di)}\n")
+    for i in report.selected_positions()[: report.top_k]:
+        va = with_density(report.per_variable[i])
+        if va.cd is not None:
+            written += write_curves(va, out_dir, svg=svg)
+    return written
+
+
+def write_curves(va: VariableAnalysis, out_dir, svg: bool = False):
+    """Write the density and PP curves of one variable that has a density
+    estimate, under its sanitised name inside ``out_dir``.
+
+    Returns the list of file paths written.
+    """
+    safe = _safe_name(va.name)
+    u, dhat = curve_grid(va)
+    written = []
+    path = os.path.join(out_dir, f"cd_{safe}.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("u,dhat\n")
+        for ui, di in zip(u, dhat):
+            fh.write(f"{fmt(ui)},{fmt(di)}\n")
+    written.append(path)
+    path = os.path.join(out_dir, f"pp_{safe}.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("h,f\n")
+        for h, f in va.cd.pp_points:
+            fh.write(f"{fmt(h)},{fmt(f)}\n")
+    written.append(path)
+    if svg:
+        path = os.path.join(out_dir, f"cd_{safe}.svg")
+        svgplot.polyline_svg(list(zip(u, dhat)), path, xlabel="u", ylabel="dhat")
         written.append(path)
-        path = os.path.join(out_dir, f"pp_{safe}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("h,f\n")
-            for h, f in va.cd.pp_points:
-                fh.write(f"{fmt(h)},{fmt(f)}\n")
+        path = os.path.join(out_dir, f"pp_{safe}.svg")
+        svgplot.polyline_svg(
+            [tuple(p) for p in va.cd.pp_points], path, xlabel="H", ylabel="F"
+        )
         written.append(path)
-        if svg:
-            path = os.path.join(out_dir, f"cd_{safe}.svg")
-            svgplot.polyline_svg(list(zip(u, dhat)), path, xlabel="u", ylabel="dhat")
-            written.append(path)
-            path = os.path.join(out_dir, f"pp_{safe}.svg")
-            svgplot.polyline_svg(
-                [tuple(p) for p in va.cd.pp_points], path, xlabel="H", ylabel="F"
-            )
-            written.append(path)
     return written
 
 

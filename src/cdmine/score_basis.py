@@ -41,9 +41,33 @@ def build_score_basis(mid: MidRankVector, m: int = 4) -> ScoreBasis:
         raise ValueError("m must be >= 1")
     if mid.sigma_mid <= 0.0:
         raise DegenerateVariable("constant column: sigma_mid = 0")
-    n = mid.n_effective
-    if n <= m + 1:
+    if mid.n_effective <= m + 1:
         raise RankDeficient(f"need more than {m + 1} observations for m={m}")
+    basis, norm = _orthonormalize(mid, m)
+    if basis.m < m:
+        raise RankDeficient(
+            f"residual norm {norm:.3e} below {RESIDUAL_NORM_FLOOR} at score {basis.m + 1}"
+        )
+    return basis
+
+
+def feasible_score_basis(mid: MidRankVector, m: int) -> ScoreBasis | None:
+    """The largest basis build_score_basis can deliver with at most m scores.
+
+    That is the first min(m, n - 2) scores, cut before the first whose
+    residual norm falls below RESIDUAL_NORM_FLOOR; None when no score is
+    left or the column is constant.
+    """
+    m = min(m, mid.n_effective - 2)
+    if m < 1 or mid.sigma_mid <= 0.0:
+        return None
+    return _orthonormalize(mid, m)[0]
+
+
+def _orthonormalize(mid: MidRankVector, m: int):
+    """(basis, residual norm): Gram-Schmidt up to m scores, stopping before
+    the first score whose residual norm is below the floor."""
+    n = mid.n_effective
     u = np.asarray(mid.u, dtype=float)
     s1 = (u - 0.5) / mid.sigma_mid
     s1_poly = np.zeros(m + 1)
@@ -57,6 +81,7 @@ def build_score_basis(mid: MidRankVector, m: int = 4) -> ScoreBasis:
     cols[:, 0] = s1
     polys[0] = s1_poly
 
+    norm = 1.0
     for k in range(2, m + 1):
         v = s1**k
         poly = _pad(P.polypow(s1_poly[:2], k), m + 1)
@@ -71,13 +96,13 @@ def build_score_basis(mid: MidRankVector, m: int = 4) -> ScoreBasis:
                 poly = poly - c * polys[j]
         norm = np.sqrt(v @ v / n)
         if norm < RESIDUAL_NORM_FLOOR:
-            raise RankDeficient(
-                f"residual norm {norm:.3e} below {RESIDUAL_NORM_FLOOR} at score {k}"
-            )
+            m = k - 1
+            cols, polys = cols[:, :m], polys[:m, : m + 1]
+            break
         cols[:, k - 1] = v / norm
         polys[k - 1] = poly / norm
 
-    return ScoreBasis(m=m, sample_u=u, score_matrix=cols, poly_coeffs=polys)
+    return ScoreBasis(m=m, sample_u=u, score_matrix=cols, poly_coeffs=polys), norm
 
 
 def evaluate_scores(basis: ScoreBasis, u_new) -> np.ndarray:
@@ -91,17 +116,6 @@ def evaluate_scores(basis: ScoreBasis, u_new) -> np.ndarray:
         raise OutOfDomain("score functions are defined on the open interval (0, 1)")
     vals = np.stack([P.polyval(arr, c) for c in basis.poly_coeffs], axis=-1)
     return vals
-
-
-def max_feasible_m(mid: MidRankVector, m_requested: int) -> int:
-    """Largest m <= m_requested that build_score_basis can deliver, or 0."""
-    for m in range(m_requested, 0, -1):
-        try:
-            build_score_basis(mid, m)
-        except (RankDeficient, DegenerateVariable):
-            continue
-        return m
-    return 0
 
 
 def _pad(coeffs: np.ndarray, length: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from one seed so results are bit-identical regardless of execution order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
@@ -30,8 +30,7 @@ class SimConfig:
     runs: int = 100
     seed: int = 0
     methods: tuple = METHODS
-    fdr_level: float = 0.2
-    fdr_config: FdrConfig = field(default_factory=FdrConfig)
+    fdr_level: float = 0.2  # level of every arm: CDfdr, BH and the naive two-step
 
     def validate(self):
         if not 0 <= self.m_signals <= self.p:
@@ -100,13 +99,14 @@ def run_experiment(cfg: SimConfig) -> SimReport:
     children = root.spawn(cfg.runs + 1)
     signals = draw_signals(cfg, np.random.default_rng(children[0]))
     counts = {m: np.empty(cfg.runs, dtype=int) for m in cfg.methods}
+    fdr_config = FdrConfig(fdr_level=cfg.fdr_level)
     for r in range(cfg.runs):
         rng = np.random.default_rng(children[r + 1])
         noise = rng.standard_normal(cfg.p - cfg.m_signals)
         z = np.concatenate([signals, noise])
         for method in cfg.methods:
             if method == "cdfdr":
-                sel = cdfdr_pipeline(z, cfg.fdr_config).selected
+                sel = cdfdr_pipeline(z, fdr_config).selected
             elif method == "bh":
                 sel = bh_baseline(z, cfg.fdr_level)
             else:

@@ -157,6 +157,38 @@ def test_cr_to_z_monotone():
     assert np.all(np.isfinite(z))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_cr_to_z_finite_and_increasing_at_any_strength(m):
+    n = 100
+    cr = np.linspace(0.0, 1e5 / n, 200_001)  # n * CR up to 1e5
+    z = cr_to_z(cr, n=n, m=m)
+    assert np.all(np.isfinite(z))
+    assert np.all(np.diff(z) > 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cr_to_z_agrees_with_the_chi2_sf_bridge(m):
+    from scipy.stats import chi2, norm
+
+    # Below n * CR = 0.01 the old bridge's p rounds to within 1e-5 of 1,
+    # where norm.isf loses digits; above about 1300 it clipped at 1e-300.
+    x = np.geomspace(1e-2, 2e3, 5000)
+    p = chi2.sf(x, df=m)
+    unclipped = (p > 1e-300) & (p < 1.0 - 1e-16)
+    old = norm.isf(p[unclipped])
+    new = cr_to_z(x[unclipped] / 50.0, n=50, m=m)
+    assert unclipped.sum() > 4000
+    assert np.all(np.abs(new - old) <= 1e-10 * np.maximum(1.0, np.abs(old)))
+
+
+def test_cr_to_z_broadcasts_per_item_n_and_df():
+    cr = np.array([0.0, 0.1, 0.1, 0.3])
+    n = np.array([40, 40, 80, 80])
+    m = np.array([1, 4, 2, 3])
+    each = [cr_to_z(c, n=k, m=d) for c, k, d in zip(cr, n, m)]
+    np.testing.assert_array_equal(cr_to_z(cr, n=n, m=m), each)
+
+
 class TestPipeline:
     def test_shift_scale_equivariance(self):
         rng = np.random.default_rng(9)

@@ -86,6 +86,27 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["rank", str(path), "--label", "cls", "--out", str(tmp_path / "o")]) == EXIT_PARSE
 
 
+def test_duplicate_header_exit_code(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("g1,g1,cls\n1,2,0\n3,4,1\n")
+    assert main(["rank", str(path), "--label", "cls", "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    assert "'g1'" in capsys.readouterr().err
+
+
+def test_cd_sanitises_variable_names(tmp_path):
+    rng = np.random.default_rng(8)
+    n = 40
+    labels = np.arange(n) % 2
+    path = tmp_path / "in.csv"
+    rows = [f"{v:.6f},{c}" for v, c in zip(rng.normal(size=n) + labels, labels)]
+    path.write_text("../x,cls\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "deep" / "D"
+    code = main(["cd", str(path), "--label", "cls", "--vars", "../x", "--out", str(out)])
+    assert code == EXIT_OK
+    assert sorted(os.listdir(out)) == ["cd_.._x.csv", "pp_.._x.csv"]
+    assert sorted(os.listdir(out.parent)) == ["D"]
+
+
 def test_label_error_exit_code(toy_csv, tmp_path):
     code = main(["rank", str(toy_csv), "--label", "missing", "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG

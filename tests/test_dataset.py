@@ -43,6 +43,15 @@ def test_parse_error_carries_location(tmp_path):
     assert err.value.column == "b"
 
 
+@pytest.mark.parametrize("header", ["a,b,a,cls", "a,cls,b,cls"])
+def test_duplicate_header_name_rejected(tmp_path, header):
+    path = write(tmp_path, header + "\n1,2,3,0\n4,5,6,1\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(path, label_column="cls")
+    assert err.value.row == 1
+    assert err.value.column == header.split(",")[2 if header.startswith("a,b") else 3]
+
+
 def test_ragged_row_rejected(tmp_path):
     path = write(tmp_path, "a,b,cls\n1,2\n")
     with pytest.raises(ParseError):

@@ -1,0 +1,152 @@
+"""The batched panel engine behind ``analyze`` against the single-column
+reference path ``analyze_variable``."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdmine import panel
+from cdmine.dataset import Dataset
+from cdmine.errors import NonFinite
+from cdmine.midrank import VariableColumn
+from cdmine.pipeline import analyze, analyze_variable
+
+KINDS = (
+    "continuous",
+    "shifted",
+    "rounded",
+    "binary",
+    "ternary",
+    "constant",
+    "all-missing",
+    "one-present",
+    "class-too-small",
+)
+TOL = 1e-12
+
+
+def make_panel(n, n1, kinds, missing_rate, seed):
+    rng = np.random.default_rng(seed)
+    y = np.zeros(n, dtype=int)
+    y[:n1] = 1
+    rng.shuffle(y)
+    cols = []
+    for j, kind in enumerate(kinds):
+        x = rng.normal(size=n)
+        if kind == "shifted":
+            x += 1.5 * y
+        elif kind == "rounded":
+            x = np.round(x, int(rng.integers(0, 2)))
+        elif kind == "binary":
+            x = rng.integers(0, 2, n).astype(float)
+        elif kind == "ternary":
+            x = rng.integers(0, 3, n).astype(float)
+        elif kind == "constant":
+            x[:] = 3.5
+        elif kind == "all-missing":
+            x[:] = np.nan
+        elif kind == "one-present":
+            x[np.arange(n) != rng.integers(0, n)] = np.nan
+        elif kind == "class-too-small":
+            x[y == 1] = np.nan
+            if n1:
+                x[np.flatnonzero(y == 1)[0]] = 0.25
+        if kind in ("continuous", "shifted", "rounded", "binary", "ternary"):
+            x[rng.random(n) < missing_rate] = np.nan
+        cols.append(VariableColumn.from_values(x, name=f"{kind}{j}"))
+    return Dataset(variables=cols, labels=y, positive_label="1", n=n, p=len(cols))
+
+
+def category_is_determined(components):
+    """False when CR is zero up to roundoff or the top component's share of
+    CR is within roundoff of the one-half cut; either path may then round
+    to the other side of that cut."""
+    sq = np.asarray(components, dtype=float) ** 2
+    total = sq.sum()
+    return total > 1e-20 and abs(sq.max() / total - 0.5) > 1e-9
+
+
+def assert_matches_reference(ds, m):
+    report = analyze(ds, m=m)
+    ref = [analyze_variable(col, ds.labels, m) for col in ds.variables]
+    for got, want in zip(report.per_variable, ref):
+        a, b = got.cr, want.cr
+        assert got.name == want.name
+        assert (a.flag, a.n_effective) == (b.flag, b.n_effective), a.variable_id
+        if category_is_determined(b.components):
+            assert a.category == b.category, a.variable_id
+        assert np.abs(np.asarray(a.components) - b.components).max() <= TOL, a.variable_id
+        assert abs(a.cr - b.cr) <= TOL, a.variable_id
+        assert a.pvalue == pytest.approx(b.pvalue, rel=1e-9, abs=1e-300)
+    # Same ranks, except that columns whose reference CRs agree within the
+    # tolerance may come in either order.
+    ref_cr = np.array([r.cr.cr for r in ref])
+    assert np.all(np.diff(ref_cr[np.argsort(report.ranked.ranks)]) <= TOL)
+    return report
+
+
+@st.composite
+def panels(draw):
+    n = draw(st.integers(4, 40))
+    n1 = draw(st.integers(0, n))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=16))
+    missing_rate = draw(st.sampled_from([0.0, 0.0, 0.1, 0.4]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return make_panel(n, n1, kinds, missing_rate, seed), draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(panels(), st.integers(1, 5))
+def test_engine_matches_reference_path(case, block):
+    ds, m = case
+    with mock.patch.object(panel, "BLOCK_COLUMNS", block):
+        assert_matches_reference(ds, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_n_near_m_plus_one(seed, extra):
+    """n from m + 1 to m + 4: reduced-m columns and the shared table's edge."""
+    m = 4
+    n = m + extra
+    kinds = ["continuous"] * 4 + ["binary", "ternary", "rounded"]
+    assert_matches_reference(make_panel(n, n // 2, kinds, 0.0, seed), m)
+
+
+def test_blocks_of_the_real_size_are_crossed():
+    rng = np.random.default_rng(5)
+    kinds = list(rng.choice(KINDS, size=panel.BLOCK_COLUMNS + 37))
+    report = assert_matches_reference(make_panel(30, 13, kinds, 0.1, 5), 4)
+    assert len(report.per_variable) > panel.BLOCK_COLUMNS
+    assert report.fdr is not None
+
+
+def test_both_paths_agree_on_a_complete_tie_free_column():
+    rng = np.random.default_rng(6)
+    n = 50
+    y = np.arange(n) % 2
+    x = rng.normal(size=n) + y
+    ds = Dataset(
+        variables=[VariableColumn.from_values(x, name="v")], labels=y,
+        positive_label="1", n=n, p=1,
+    )
+    table = analyze(ds).per_variable[0].cr.components
+    masked = panel.panel_cr(ds.variables, y, 4, table=None).components[0]
+    np.testing.assert_allclose(table, masked, atol=TOL)
+
+
+def test_non_missing_inf_is_a_located_error():
+    rng = np.random.default_rng(7)
+    n = 30
+    x = rng.normal(size=n)
+    x[4] = np.inf
+    cols = [
+        VariableColumn.from_values(rng.normal(size=n), name="fine"),
+        VariableColumn.from_values(x, name="gene 7"),
+    ]
+    ds = Dataset(variables=cols, labels=np.arange(n) % 2, positive_label="1", n=n, p=2)
+    with pytest.raises(NonFinite, match=r"^variable 'gene 7': "):
+        analyze(ds)

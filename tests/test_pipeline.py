@@ -144,6 +144,29 @@ def test_export_top_k_files_and_roundtrip(tmp_path):
     np.testing.assert_allclose(got[:, 1], dhat, atol=1e-9)
 
 
+def test_ranked_csv_rows_follow_positions_not_names(tmp_path):
+    rng = np.random.default_rng(109)
+    n, p = 200, 30
+    y = rng.integers(0, 2, n)
+    X = rng.normal(size=(n, p))
+    X[:, 5] += 2.5 * y
+    names = [f"v{j}" for j in range(p)]
+    names[5] = names[20] = "dup"
+    report = analyze(make_dataset(X, y, names), top_k=2)
+    path = tmp_path / "ranked.csv"
+    write_ranked_csv(report, path)
+    with open(path) as fh:
+        rows = [r for r in csv.DictReader(fh) if r["variable_id"] == "dup"]
+    assert len(rows) == 2
+    for row in rows:
+        i = int(np.flatnonzero(report.ranked.ranks == int(row["rank"]))[0])
+        assert float(row["CR"]) == report.per_variable[i].cr.cr
+        assert float(row["z"]) == report.fdr.z[i]
+        assert row["selected"] == str(int(report.fdr.selected[i]))
+    assert sorted(r["selected"] for r in rows) == ["0", "1"]
+    assert report.selected_names().count("dup") == 1
+
+
 def test_analyze_variable_class_too_small():
     col = VariableColumn.from_values(np.arange(30.0))
     y = np.zeros(30, int)

@@ -61,6 +61,14 @@ class TestRunExperiment:
             np.testing.assert_array_equal(a.counts[method], b.counts[method])
         assert a.summary == b.summary
 
+    def test_fdr_level_reaches_every_arm(self):
+        base = dict(m_signals=50, p=1000, runs=10, seed=3)
+        loose = run_experiment(SimConfig(fdr_level=0.2, **base)).summary
+        strict = run_experiment(SimConfig(fdr_level=0.05, **base)).summary
+        for method in ("cdfdr", "bh"):
+            assert strict[method] != loose[method]
+            assert strict[method]["mean"] < loose[method]["mean"]
+
     def test_signals_fixed_across_runs(self):
         # with no noise items, every run sees the identical signal vector
         cfg = SimConfig(m_signals=100, p=100, runs=4, seed=5, methods=("bh",))
