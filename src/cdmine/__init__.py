@@ -35,13 +35,7 @@ from .cr import (
     rank_variables,
 )
 from .dataset import Dataset, load_csv
-from .midrank import (
-    Kind,
-    MidRankVector,
-    VariableColumn,
-    mid_rank_transform,
-    pooled_mid_cdf,
-)
+from .midrank import MidRankVector, VariableColumn, mid_rank_transform
 from .pipeline import AnalysisReport, analyze, export_plots
 from .score_basis import ScoreBasis, build_score_basis, evaluate_scores
 from .simulate import SimConfig, SimReport, bh_baseline, naive_two_step_baseline, run_experiment

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import eval_legendre, log_ndtr, ndtri_exp
 from scipy.stats import norm
 
-from .errors import ConfigError, TooFewItems, ZeroSpread
+from .errors import ConfigError, NonFinite, TooFewItems, ZeroSpread
 
 U_EPS = 1e-12
 DENSITY_FLOOR = 0.01
@@ -61,9 +61,6 @@ class ResidualDensity:
 
 @dataclass(frozen=True)
 class FdrConfig:
-    input_kind: str = "z"  # "z" or "cr"
-    n: int | None = None  # sample size behind each CR value (cr mode)
-    m: int = 4  # chi-square df for the CR -> z bridge
     fdr_level: float = 0.2
     null_method: NullMethod = NullMethod.POOLED_MOMENTS
     n_coeffs: int = 6
@@ -202,16 +199,11 @@ def _chi2_logsf_int(x, df: int):
     return np.logaddexp(head, tail)
 
 
-def cdfdr_pipeline(scores, config: FdrConfig = FdrConfig()) -> FdrResult:
-    scores = np.asarray(scores, dtype=float)
-    if config.input_kind == "cr":
-        if config.n is None:
-            raise ConfigError("cr input needs the per-variable sample size n")
-        z = cr_to_z(scores, config.n, config.m)
-    elif config.input_kind == "z":
-        z = scores
-    else:
-        raise ConfigError(f"unknown input kind {config.input_kind!r}")
+def cdfdr_pipeline(z, config: FdrConfig = FdrConfig()) -> FdrResult:
+    """CDfdr selection on z-scores; CR values go through ``cr_to_z`` first."""
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise NonFinite("z-scores must be finite")
     null = estimate_null(z, config.null_method)
     u = preflatten(z, null)
     resid = estimate_residual_density(u, config.n_coeffs)

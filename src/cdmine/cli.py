@@ -10,15 +10,17 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from .cdfdr import FdrConfig, NullMethod, cdfdr_pipeline
+from .cdfdr import FdrConfig, NullMethod, cdfdr_pipeline, cr_to_z
 from .dataset import DEFAULT_MISSING_TOKENS, load_csv
-from .errors import ConfigError, LabelError, ParseError
+from .errors import CdmineError, ConfigError, LabelError, ParseError
 from .pipeline import (
     analyze,
     analyze_variable,
@@ -37,8 +39,15 @@ from .simulate import (
 )
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_CONFIG = 3
+EXIT_PARSE = 2  # ParseError: an input cell or header, reported with its location
+EXIT_CONFIG = 3  # any other CdmineError, and a file that cannot be read or written
+
+# simulate --config keys: each names the flag it overrides, with "_" for "-".
+CONFIG_KEYS = {
+    "p": int, "signals": int, "model": str, "mu": float, "lo": float, "hi": float,
+    "runs": int, "seed": int, "methods": lambda value: value.split(","),
+    "fdr_level": float,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=NullMethod.POOLED_MOMENTS.value,
     )
     p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="cdmine_out")
     p.add_argument("--svg", action="store_true", help="also write SVG renderings")
 
@@ -112,35 +120,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_rank(args) -> int:
-    dataset = load_csv(
+def load_dataset(args):
+    """The dataset named by the arguments that ``add_dataset_args`` defines."""
+    return load_csv(
         args.csv,
         label_column=args.label,
         positive_label=args.positive,
         missing_tokens=tuple(args.missing_token or DEFAULT_MISSING_TOKENS),
     )
+
+
+def cmd_rank(args) -> int:
+    dataset = load_dataset(args)
     report = analyze(
         dataset,
         m=args.M,
         fdr_level=args.fdr_level,
         null_method=NullMethod(args.null_method),
-        top_k=args.top_k,
     )
     os.makedirs(args.out, exist_ok=True)
     write_ranked_csv(report, os.path.join(args.out, "ranked.csv"))
     write_summary_json(report, os.path.join(args.out, "summary.json"))
-    export_plots(report, args.out, svg=args.svg)
+    export_plots(report, args.out, top_k=args.top_k, svg=args.svg)
     print(f"ranked {dataset.p} variables; selected {len(report.selected_names())}")
     return EXIT_OK
 
 
 def cmd_cd(args) -> int:
-    dataset = load_csv(
-        args.csv,
-        label_column=args.label,
-        positive_label=args.positive,
-        missing_tokens=tuple(args.missing_token or DEFAULT_MISSING_TOKENS),
-    )
+    dataset = load_dataset(args)
     by_name = {v.name: v for v in dataset.variables}
     unknown = [v for v in args.vars if v not in by_name]
     if unknown:
@@ -157,10 +164,10 @@ def cmd_cd(args) -> int:
 
 
 def cmd_fdr(args) -> int:
-    import csv as _csv
-
+    if args.input_kind == "cr" and (args.n is None or args.n < 1 or args.M < 1):
+        raise ConfigError("--input-kind cr needs a sample size --n >= 1 and --M >= 1")
     with open(args.csv, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError("empty file", row=1)
@@ -171,23 +178,27 @@ def cmd_fdr(args) -> int:
         ids, scores = [], []
         for i, row in enumerate(reader):
             try:
-                scores.append(float(row[idx]))
+                score = float(row[idx])
             except (ValueError, IndexError):
+                score = math.nan
+            if not math.isfinite(score):
+                cell = row[idx] if idx < len(row) else ""
                 raise ParseError(
-                    f"cannot parse score in row {i + 2}", row=i + 2, column=args.col
-                ) from None
+                    f"score {cell!r} is not a finite number", row=i + 2, column=args.col
+                )
+            scores.append(score)
             ids.append(row[id_idx] if id_idx is not None else str(i))
+    z = np.array(scores)
+    if args.input_kind == "cr":
+        z = cr_to_z(z, args.n, args.M)
     cfg = FdrConfig(
-        input_kind=args.input_kind,
-        n=args.n,
-        m=args.M,
         fdr_level=args.fdr_level,
         null_method=NullMethod(args.null_method),
         n_coeffs=args.L,
         sides=args.sides,
         weight_mode=args.weight_mode,
     )
-    result = cdfdr_pipeline(np.array(scores), cfg)
+    result = cdfdr_pipeline(z, cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("item_id,z,u_flat,inverse_fdr,selected\n")
         for i, item in enumerate(ids):
@@ -199,39 +210,42 @@ def cmd_fdr(args) -> int:
     return EXIT_OK
 
 
-def parse_config_file(path) -> dict:
-    out = {}
+def apply_config_file(args, path):
+    """Override ``args`` with the key=value lines of a config file; an
+    unknown key or a value that does not read as its type is a ConfigError
+    naming path:line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
+            key, sep, value = (part.strip() for part in line.partition("="))
+            where = f"{path}:{lineno}"
+            if not sep:
+                raise ConfigError(f"{where}: expected key=value")
+            if key not in CONFIG_KEYS:
+                known = ", ".join(CONFIG_KEYS)
+                raise ConfigError(f"{where}: unknown key {key!r} (known: {known})")
+            try:
+                setattr(args, key, CONFIG_KEYS[key](value))
+            except ValueError:
+                raise ConfigError(f"{where}: {key}: cannot read {value!r}") from None
 
 
 def cmd_simulate(args) -> int:
-    overrides = parse_config_file(args.config) if args.config else {}
-
-    def get(key, cast, default):
-        return cast(overrides[key]) if key in overrides else default
-
+    if args.config:
+        apply_config_file(args, args.config)
     cfg = SimConfig(
-        p=get("p", int, args.p),
-        m_signals=get("signals", int, args.signals),
-        signal_model=get("model", str, args.model),
-        mu=get("mu", float, args.mu),
-        lo=get("lo", float, args.lo),
-        hi=get("hi", float, args.hi),
-        runs=get("runs", int, args.runs),
-        seed=get("seed", int, args.seed),
-        methods=tuple(overrides.get("methods", ",".join(args.methods)).split(","))
-        if "methods" in overrides
-        else tuple(args.methods),
-        fdr_level=get("fdr_level", float, args.fdr_level),
+        p=args.p,
+        m_signals=args.signals,
+        signal_model=args.model,
+        mu=args.mu,
+        lo=args.lo,
+        hi=args.hi,
+        runs=args.runs,
+        seed=args.seed,
+        methods=tuple(args.methods),
+        fdr_level=args.fdr_level,
     )
     report = run_experiment(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -254,8 +268,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConfigError, LabelError, FileNotFoundError) as exc:
+    except (ConfigError, LabelError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CdmineError as exc:
+        print(f"cannot analyze input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

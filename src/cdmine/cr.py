@@ -91,12 +91,11 @@ def cr_result(data: TwoSampleData, basis: ScoreBasis, variable_id: str = "") -> 
 
 @dataclass(frozen=True)
 class RankedReport:
-    """CR results in descending order plus per-category top lists."""
+    """CR results in descending order."""
 
     ordered: list  # CrResult, rank order
     ranks: np.ndarray  # rank (1-based) per input position
     sorted_cr: np.ndarray  # descending CR values, for the threshold plot
-    category_top: dict  # category -> list of CrResult in rank order
 
 
 def rank_variables(results: list) -> RankedReport:
@@ -108,8 +107,5 @@ def rank_variables(results: list) -> RankedReport:
     for rank0, i in enumerate(order):
         ranks[i] = rank0 + 1
     sorted_cr = np.array([r.cr for r in ordered])
-    cats = {}
-    for r in ordered:
-        cats.setdefault(r.category, []).append(r)
-    return RankedReport(ordered=ordered, ranks=ranks, sorted_cr=sorted_cr, category_top=cats)
+    return RankedReport(ordered=ordered, ranks=ranks, sorted_cr=sorted_cr)
 

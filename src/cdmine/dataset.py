@@ -8,10 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabelError, ParseError
-from .midrank import Kind, VariableColumn
+from .midrank import VariableColumn
 
 DEFAULT_MISSING_TOKENS = ("NA", "", "?")
-DISCRETE_MAX_DISTINCT = 10
 
 
 @dataclass(frozen=True)
@@ -22,9 +21,6 @@ class Dataset:
     n: int
     p: int
 
-    def names(self):
-        return [v.name for v in self.variables]
-
 
 def load_csv(
     path,
@@ -34,10 +30,9 @@ def load_csv(
 ) -> Dataset:
     """Parse a header-bearing CSV into feature columns and a binary label.
 
-    Feature cells matching a missing token get masked; any other non-numeric
-    cell, and a repeated header name, is a ParseError with its location.
-    Column kind is inferred from the distinct-value count (<= 10 distinct ->
-    discrete).
+    Feature cells matching a missing token, or reading as NaN, get masked;
+    any other non-numeric cell, an infinite value and a repeated header name
+    are each a ParseError with its location.
     """
     missing = set(missing_tokens)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -61,7 +56,6 @@ def load_csv(
         raise ParseError("no data rows", row=2)
     raw_labels = []
     columns = {j: [] for j in range(len(header)) if j != label_idx}
-    masks = {j: [] for j in columns}
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ParseError(
@@ -74,7 +68,6 @@ def load_csv(
             cell = cell.strip()
             if cell in missing:
                 columns[j].append(np.nan)
-                masks[j].append(True)
                 continue
             try:
                 columns[j].append(float(cell))
@@ -84,7 +77,17 @@ def load_csv(
                     row=i + 2,
                     column=header[j],
                 ) from None
-            masks[j].append(False)
+
+    variables = []
+    for j in sorted(columns):
+        values = np.array(columns[j])
+        inf = np.flatnonzero(np.isinf(values))
+        if inf.size:
+            i = int(inf[0])
+            raise ParseError(
+                f"infinite value {rows[i][j].strip()!r}", row=i + 2, column=header[j]
+            )
+        variables.append(VariableColumn.from_values(values, name=header[j]))
 
     distinct_labels = sorted(set(raw_labels))
     if len(distinct_labels) != 2:
@@ -98,20 +101,6 @@ def load_csv(
             f"positive label {positive_label!r} not among {distinct_labels}"
         )
     labels = np.array([1 if v == positive_label else 0 for v in raw_labels])
-
-    variables = []
-    for j in sorted(columns):
-        values = np.array(columns[j])
-        mask = np.array(masks[j], dtype=bool)
-        present = values[~mask]
-        kind = (
-            Kind.DISCRETE
-            if np.unique(present).size <= DISCRETE_MAX_DISTINCT
-            else Kind.CONTINUOUS
-        )
-        variables.append(
-            VariableColumn(values=values, missing=mask, kind=kind, name=header[j])
-        )
     return Dataset(
         variables=variables,
         labels=labels,

@@ -38,10 +38,14 @@ class ZeroSpread(CdmineError):
 
 
 class ParseError(CdmineError):
-    """CSV cell could not be parsed; carries row/column location."""
+    """CSV cell could not be parsed; carries row/column location, which
+    also leads the message."""
 
     def __init__(self, message, row=None, column=None):
-        super().__init__(message)
+        where = [f"row {row}"] if row is not None else []
+        if column is not None:
+            where.append(f"column {column!r}")
+        super().__init__(f"{', '.join(where)}: {message}" if where else message)
         self.row = row
         self.column = column
 

@@ -8,8 +8,7 @@ code path.  Missing entries are dropped per column (pairwise deletion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -17,19 +16,12 @@ from scipy.stats import rankdata
 from .errors import AllMissing, NonFinite
 
 
-class Kind(str, Enum):
-    CONTINUOUS = "continuous"
-    DISCRETE = "discrete"
-    ORDINAL = "categorical-ordinal"
-
-
 @dataclass(frozen=True)
 class VariableColumn:
-    """One feature: raw values, a missing mask of equal length, and a kind."""
+    """One feature: raw values and a missing mask of equal length."""
 
     values: np.ndarray
     missing: np.ndarray
-    kind: Kind = Kind.CONTINUOUS
     name: str = ""
 
     def __post_init__(self):
@@ -41,10 +33,10 @@ class VariableColumn:
         object.__setattr__(self, "missing", missing)
 
     @classmethod
-    def from_values(cls, values, kind: Kind = Kind.CONTINUOUS, name: str = "") -> "VariableColumn":
+    def from_values(cls, values, name: str = "") -> "VariableColumn":
         """Build a column with the missing mask inferred from NaNs."""
         values = np.asarray(values, dtype=float)
-        return cls(values=values, missing=np.isnan(values), kind=kind, name=name)
+        return cls(values=values, missing=np.isnan(values), name=name)
 
     def present(self) -> np.ndarray:
         return self.values[~self.missing]
@@ -61,7 +53,6 @@ class MidRankVector:
     u: np.ndarray
     n_effective: int
     sigma_mid: float
-    tie_profile: tuple = field(default=())
 
 
 def mid_rank_transform(col: VariableColumn) -> MidRankVector:
@@ -74,36 +65,8 @@ def mid_rank_transform(col: VariableColumn) -> MidRankVector:
     n = x.size
     ranks = rankdata(x, method="average")
     u = (ranks - 0.5) / n
-    distinct, counts = np.unique(x, return_counts=True)
-    p_hat = counts / n
+    p_hat = np.unique(x, return_counts=True)[1] / n
     sigma_sq = (1.0 - np.sum(p_hat**3)) / 12.0
     sigma_mid = float(np.sqrt(max(sigma_sq, 0.0)))
-    profile = tuple(zip(distinct.tolist(), counts.tolist()))
-    return MidRankVector(u=u, n_effective=n, sigma_mid=sigma_mid, tie_profile=profile)
+    return MidRankVector(u=u, n_effective=n, sigma_mid=sigma_mid)
 
-
-def pooled_mid_cdf(col: VariableColumn):
-    """Evaluator of the pooled mid-distribution Hmid(t) = F(t) - 0.5 p(t).
-
-    At observed atoms the mid-cdf is returned; between atoms the plain
-    empirical cdf.  Works on scalars and arrays.
-    """
-    x = col.present()
-    if x.size < 2:
-        raise AllMissing(f"column {col.name!r}: fewer than 2 non-missing values")
-    if not np.all(np.isfinite(x)):
-        raise NonFinite(f"column {col.name!r}: non-missing NaN or infinite value")
-    n = x.size
-    distinct, counts = np.unique(x, return_counts=True)
-    p_hat = counts / n
-    cum = np.cumsum(p_hat)
-
-    def h_mid(t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(distinct, t, side="right")
-        cdf = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        at_atom = (idx > 0) & (t == distinct[np.maximum(idx - 1, 0)])
-        out = np.where(at_atom, cdf - 0.5 * p_hat[np.maximum(idx - 1, 0)], cdf)
-        return float(out) if out.ndim == 0 else out
-
-    return h_mid

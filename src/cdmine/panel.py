@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite
-from .score_basis import RESIDUAL_NORM_FLOOR
+from .midrank import MidRankVector
+from .score_basis import RESIDUAL_NORM_FLOOR, feasible_score_basis
 
 BLOCK_COLUMNS = 512
 
@@ -36,18 +37,31 @@ class PanelCr:
     flags: list  # "" or the flag of each column
 
 
-def panel_cr(variables, labels, m: int, table=None) -> PanelCr:
+def grid_scores(n: int, m: int):
+    """The n x m score table of the mid-rank grid (i - 1/2)/n, which every
+    complete, tie-free column of length n shares; None when the grid has
+    fewer than m scores."""
+    if n < m + 2:
+        return None
+    u = (np.arange(n) + 0.5) / n
+    sigma = np.sqrt((1.0 - 1.0 / n**2) / 12.0)
+    basis = feasible_score_basis(MidRankVector(u=u, n_effective=n, sigma_mid=sigma), m)
+    return basis.score_matrix if basis is not None and basis.m == m else None
+
+
+def panel_cr(variables, labels, m: int) -> PanelCr:
     """CR components with up to m >= 1 scores of every column of a panel.
 
-    ``table`` is the shared n x m score table of the grid (i - 1/2)/n, or
-    None when it could not be built; complete, tie-free columns then take
-    the masked path too.  A non-missing NaN or infinite value in a column
-    with at least two non-missing entries raises NonFinite naming it.
+    Complete, tie-free columns take the shared ``grid_scores`` table, or
+    the masked path when it has fewer than m scores.  A non-missing NaN or
+    infinite value in a column with at least two non-missing entries raises
+    NonFinite naming it.
     """
     y = np.asarray(labels)
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be coded 0/1")
     y = y.astype(float)
+    table = grid_scores(y.size, m)
     p = len(variables)
     out = PanelCr(
         components=np.zeros((p, m)),

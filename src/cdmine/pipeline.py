@@ -22,10 +22,10 @@ from .cr import (
     rank_variables,
 )
 from .dataset import Dataset
-from .errors import AllMissing, ConfigError, DegenerateVariable, RankDeficient
-from .midrank import MidRankVector, VariableColumn, mid_rank_transform
+from .errors import AllMissing, ConfigError, DegenerateVariable
+from .midrank import VariableColumn, mid_rank_transform
 from .panel import panel_cr
-from .score_basis import ScoreBasis, build_score_basis, feasible_score_basis
+from .score_basis import ScoreBasis, feasible_score_basis
 
 CURVE_GRID_SIZE = 512
 MIN_FDR_ITEMS = 20
@@ -59,7 +59,6 @@ class AnalysisReport:
     fdr: FdrResult | None  # None when too few variables for the fdr stage
     m: int
     fdr_level: float
-    top_k: int
     n: int
 
     def selected_positions(self):
@@ -132,29 +131,16 @@ def with_density(va: VariableAnalysis) -> VariableAnalysis:
     return analyze_variable(va.column, va.labels, len(va.cr.components))
 
 
-def shared_score_table(n: int, m: int):
-    """Scores of the mid-rank grid (i - 1/2)/n, which every complete,
-    tie-free column of length n shares; None when no m-score basis exists."""
-    u = (np.arange(n) + 0.5) / n
-    sigma = np.sqrt((1.0 - 1.0 / n**2) / 12.0) if n > 0 else 0.0
-    try:
-        mid = MidRankVector(u=u, n_effective=n, sigma_mid=sigma)
-        return build_score_basis(mid, m).score_matrix
-    except (ValueError, DegenerateVariable, RankDeficient):
-        return None
-
-
 def analyze(
     dataset: Dataset,
     m: int = 4,
     fdr_level: float = 0.2,
     null_method: NullMethod = NullMethod.POOLED_MOMENTS,
-    top_k: int = 10,
 ) -> AnalysisReport:
     if m < 1:
         raise ConfigError("m must be >= 1")
     labels = np.asarray(dataset.labels)
-    panel = panel_cr(dataset.variables, labels, m, shared_score_table(labels.size, m))
+    panel = panel_cr(dataset.variables, labels, m)
     cr = (panel.components**2).sum(axis=1)
     ok = panel.m_used > 0
     pvalue = np.ones(cr.size)
@@ -187,12 +173,7 @@ def analyze(
         z = cr_to_z(cr, panel.n_effective, np.maximum(panel.m_used, 1))
         fdr = cdfdr_pipeline(
             z,
-            FdrConfig(
-                input_kind="z",
-                fdr_level=fdr_level,
-                null_method=null_method,
-                sides="right",
-            ),
+            FdrConfig(fdr_level=fdr_level, null_method=null_method, sides="right"),
         )
     return AnalysisReport(
         per_variable=per_variable,
@@ -200,7 +181,6 @@ def analyze(
         fdr=fdr,
         m=m,
         fdr_level=fdr_level,
-        top_k=top_k,
         n=dataset.n,
     )
 
@@ -273,11 +253,14 @@ def write_summary_json(report: AnalysisReport, path):
         fh.write("\n")
 
 
-def export_plots(report: AnalysisReport, out_dir, svg: bool = False):
-    """Write sorted-CR data plus density/PP curves for the selected top-k.
+def export_plots(report: AnalysisReport, out_dir, top_k: int = 10, svg: bool = False):
+    """Write sorted-CR data plus density/PP curves for the top_k selected
+    variables in rank order.
 
     Returns the list of file paths written.
     """
+    if top_k < 0:
+        raise ConfigError("top_k must be >= 0")
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -292,7 +275,7 @@ def export_plots(report: AnalysisReport, out_dir, svg: bool = False):
         svgplot.polyline_svg(pts, path, xlabel="rank", ylabel="CR")
         written.append(path)
 
-    for i in report.selected_positions()[: report.top_k]:
+    for i in report.selected_positions()[:top_k]:
         va = with_density(report.per_variable[i])
         if va.cd is not None:
             written += write_curves(va, out_dir, svg=svg)

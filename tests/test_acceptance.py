@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import chi2, kstest
 
 import cdmine as c
-from cdmine.cdfdr import FdrConfig, cdfdr_pipeline
+from cdmine.cdfdr import FdrConfig, cdfdr_pipeline, cr_to_z
 from cdmine.dataset import Dataset
 from cdmine.midrank import VariableColumn
 from cdmine.pipeline import analyze, write_ranked_csv
@@ -57,7 +57,7 @@ def test_criterion_1_exact_identities():
             y[-2:] = [1, 0]
         mid, basis, data = analyzed(values, y)
         worst["mean"] = max(worst["mean"], abs(mid.u.mean() - 0.5))
-        p_hat = np.array([cnt for _, cnt in mid.tie_profile]) / mid.n_effective
+        p_hat = np.unique(values, return_counts=True)[1] / mid.n_effective
         var_target = (1.0 - np.sum(p_hat**3)) / 12.0
         var_n = np.mean((mid.u - mid.u.mean()) ** 2)
         worst["var"] = max(worst["var"], abs(var_n - var_target))
@@ -238,7 +238,7 @@ def test_criterion_9_prostate_optional():
         crs.append(c.cr_statistic(c.component_correlations(data, basis)))
     cr_count = int(
         cdfdr_pipeline(
-            np.array(crs), FdrConfig(input_kind="cr", n=ds.n, m=2, sides="right")
+            cr_to_z(np.array(crs), ds.n, 2), FdrConfig(sides="right")
         ).selected.sum()
     )
     ok = 40 <= z_count <= 55 and 14 <= cr_count <= 24

@@ -15,7 +15,7 @@ from cdmine.cdfdr import (
     preflatten,
     select,
 )
-from cdmine.errors import ConfigError, TooFewItems, ZeroSpread
+from cdmine.errors import ConfigError, NonFinite, TooFewItems, ZeroSpread
 
 
 class TestEstimateNull:
@@ -238,15 +238,16 @@ class TestPipeline:
         for _ in range(10):
             # null chi-square_4 draws mapped back to CR scale
             cr = rng.chisquare(4, size=1000) / 100
-            result = cdfdr_pipeline(
-                cr, FdrConfig(input_kind="cr", n=100, m=4, sides="right")
-            )
+            result = cdfdr_pipeline(cr_to_z(cr, 100, 4), FdrConfig(sides="right"))
             frac.append(result.selected.mean())
         assert np.mean(frac) <= 0.01
 
-    def test_cr_mode_needs_n(self):
-        with pytest.raises(ConfigError):
-            cdfdr_pipeline(np.linspace(0, 1, 30), FdrConfig(input_kind="cr"))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        z = np.random.default_rng(15).standard_normal(100)
+        z[7] = bad
+        with pytest.raises(NonFinite):
+            cdfdr_pipeline(z)
 
     def test_p0_fixed_at_one(self):
         # inverse fdr carries no null-proportion factor: a flat residual in

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from cdmine import cli
 from cdmine.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
+from cdmine.simulate import SimConfig
 
 
 @pytest.fixture
@@ -116,6 +118,13 @@ def test_missing_file_exit_code(tmp_path):
     assert main(["rank", str(tmp_path / "no.csv"), "--label", "cls"]) == EXIT_CONFIG
 
 
+def test_out_under_a_file_exit_code(toy_csv, tmp_path, capsys):
+    out = str(toy_csv / "cd")
+    code = main(["cd", str(toy_csv), "--label", "cls", "--vars", "v0", "--out", out])
+    assert code == EXIT_CONFIG
+    assert "Not a directory" in capsys.readouterr().err
+
+
 def test_simulate_subcommand(tmp_path, capsys):
     out = tmp_path / "sim"
     code = main(
@@ -146,3 +155,121 @@ def test_simulate_bad_config_file(tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("this is not key value\n")
     assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_rank_has_no_seed_flag(toy_csv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", str(toy_csv), "--label", "cls", "--seed", "1",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
+def write_scores(path, values, col="z"):
+    lines = [f"id,{col}"] + [f"g{i},{v}" for i, v in enumerate(values)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_fdr_cr_input_needs_n(tmp_path, capsys):
+    path = write_scores(tmp_path / "cr.csv", np.linspace(0, 1, 30), col="cr")
+    code = main(["fdr", str(path), "--col", "cr", "--input-kind", "cr",
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_CONFIG
+    assert "--n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [["--n", "0"], ["--n", "50", "--M", "0"]])
+def test_fdr_cr_input_rejects_bad_n_or_m(tmp_path, bad):
+    path = write_scores(tmp_path / "cr.csv", np.linspace(0, 1, 30), col="cr")
+    code = main(["fdr", str(path), "--col", "cr", "--input-kind", "cr", *bad,
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", ""])
+def test_fdr_non_finite_score_is_located(tmp_path, capsys, cell):
+    values = [f"{v:.3f}" for v in np.linspace(-2, 2, 30)]
+    values[2] = cell
+    path = write_scores(tmp_path / "z.csv", values)
+    out = tmp_path / "o.csv"
+    assert main(["fdr", str(path), "--col", "z", "--out", str(out)]) == EXIT_PARSE
+    assert "row 4, column 'z'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rank_inf_cell_is_a_located_parse_error(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text("a,b,cls\n1,2,0\n3,inf,1\n5,6,0\n7,8,1\n")
+    code = main(["rank", str(path), "--label", "cls", "--out", str(tmp_path / "o")])
+    assert code == EXIT_PARSE
+    assert "row 3, column 'b'" in capsys.readouterr().err
+
+
+def assert_data_error(capsys, text):
+    err = capsys.readouterr().err
+    assert text in err
+    assert "configuration error" not in err
+    assert "Traceback" not in err
+
+
+def test_fdr_too_few_items_exit_code(tmp_path, capsys):
+    path = write_scores(tmp_path / "z.csv", np.linspace(-1, 1, 19))
+    code = main(["fdr", str(path), "--col", "z", "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_CONFIG
+    assert_data_error(capsys, "need at least 20 scores")
+
+
+def test_fdr_constant_scores_exit_code(tmp_path, capsys):
+    path = write_scores(tmp_path / "z.csv", [1.5] * 30)
+    code = main(["fdr", str(path), "--col", "z", "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_CONFIG
+    assert_data_error(capsys, "null scale estimate is zero")
+
+
+def test_rank_all_constant_columns_exit_code(tmp_path, capsys):
+    p = 25
+    rows = [",".join([f"c{j}" for j in range(p)] + ["cls"])]
+    rows += [",".join(["7"] * p + [str(i % 2)]) for i in range(10)]
+    path = tmp_path / "const.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code = main(["rank", str(path), "--label", "cls", "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert_data_error(capsys, "null scale estimate is zero")
+
+
+def test_simulate_config_keys_reach_their_settings(tmp_path, monkeypatch):
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return real(cfg)
+
+    real = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        "p=80\nsignals=5\nmodel=uniform-band\nmu=3.5\nlo=1.5\nhi=2.5\n"
+        "runs=2\nseed=9\nmethods=bh,cdfdr\nfdr_level=0.05\n"
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == EXIT_OK
+    assert seen == [
+        SimConfig(m_signals=5, p=80, signal_model="uniform-band", mu=3.5, lo=1.5,
+                  hi=2.5, runs=2, seed=9, methods=("bh", "cdfdr"), fdr_level=0.05)
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p=80\nm_signals=5\n", "sim.cfg:2: unknown key 'm_signals'"),
+        ("fdr-level=0.05\n", "sim.cfg:1: unknown key 'fdr-level'"),
+        ("# runs\n\nruns=abc\n", "sim.cfg:3: runs: cannot read 'abc'"),
+    ],
+)
+def test_simulate_config_rejects_what_it_cannot_apply(tmp_path, capsys, text, message):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()

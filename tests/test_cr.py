@@ -123,7 +123,7 @@ class TestRankVariables:
         results.append(make_result(0.9, "big", category="variance"))
         ranked = rank_variables(results)
         assert ranked.ordered[0].variable_id == "big"
-        assert ranked.category_top["variance"][0].variable_id == "big"
+        assert ranked.ordered[0].category == "variance"
         np.testing.assert_array_equal(ranked.sorted_cr, np.sort(ranked.sorted_cr)[::-1])
 
     def test_empty_rejected(self):

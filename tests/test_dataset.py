@@ -3,7 +3,6 @@ import pytest
 
 from cdmine.dataset import load_csv
 from cdmine.errors import LabelError, ParseError
-from cdmine.midrank import Kind
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -75,14 +74,20 @@ def test_positive_label_choice(tmp_path):
         load_csv(path, label_column="cls", positive_label="zombie")
 
 
-def test_kind_inference(tmp_path):
-    rows = ["x,y,cls"]
-    rng = np.random.default_rng(0)
-    for i in range(40):
-        rows.append(f"{rng.normal():.6f},{i % 3},{i % 2}")
-    ds = load_csv(write(tmp_path, "\n".join(rows) + "\n"), label_column="cls")
-    assert ds.variables[0].kind == Kind.CONTINUOUS
-    assert ds.variables[1].kind == Kind.DISCRETE
+def test_nan_cell_is_missing(tmp_path):
+    path = write(tmp_path, "a,cls\n1,0\nnan,1\n2,0\nNaN,1\n3,0\n")
+    ds = load_csv(path, label_column="cls")
+    np.testing.assert_array_equal(ds.variables[0].missing, [0, 1, 0, 1, 0])
+    np.testing.assert_array_equal(ds.variables[0].present(), [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999"])
+def test_infinite_cell_is_a_located_parse_error(tmp_path, cell):
+    path = write(tmp_path, f"a,b,cls\n1,2,0\n3,4,1\n5,{cell},0\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(path, label_column="cls")
+    assert (err.value.row, err.value.column) == (4, "b")
+    assert str(err.value).startswith("row 4, column 'b': ")
 
 
 def test_hepatitis_shaped_file(tmp_path):
@@ -102,8 +107,6 @@ def test_hepatitis_shaped_file(tmp_path):
         rows.append(",".join(cells + [str(rng.integers(0, 2))]))
     ds = load_csv(write(tmp_path, "\n".join(rows) + "\n"), label_column="cls")
     assert ds.n == 155 and ds.p == 19
-    assert any(v.kind == Kind.DISCRETE for v in ds.variables)
-    assert any(v.kind == Kind.CONTINUOUS for v in ds.variables)
     assert any(v.missing.any() for v in ds.variables)
 
 

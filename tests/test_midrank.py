@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cdmine.errors import AllMissing, NonFinite
-from cdmine.midrank import VariableColumn, mid_rank_transform, pooled_mid_cdf
+from cdmine.midrank import VariableColumn, mid_rank_transform
 
 
 def column(values, missing=None):
@@ -74,7 +74,7 @@ def test_mean_half(xs):
 @given(tied_samples)
 def test_variance_identity(xs):
     mr = mid_rank_transform(column(xs))
-    p_hat = np.array([c for _, c in mr.tie_profile]) / mr.n_effective
+    p_hat = np.unique(xs, return_counts=True)[1] / mr.n_effective
     expected = (1.0 - np.sum(p_hat**3)) / 12.0
     var_n = np.mean((mr.u - mr.u.mean()) ** 2)
     assert var_n == pytest.approx(expected, abs=1e-12)
@@ -104,32 +104,3 @@ def test_missing_value_locality():
     without = mid_rank_transform(column(values[~missing]))
     np.testing.assert_array_equal(with_missing.u, without.u)
     assert with_missing.sigma_mid == without.sigma_mid
-
-
-class TestPooledMidCdf:
-    def test_three_point_sample(self):
-        h = pooled_mid_cdf(column([1.0, 2.0, 3.0]))
-        assert h(2.0) == pytest.approx(2 / 3 - 0.5 / 3)
-
-    def test_single_atom(self):
-        h = pooled_mid_cdf(column([1.0, 1.0]))
-        assert h(1.0) == pytest.approx(0.5)
-
-    def test_below_minimum(self):
-        h = pooled_mid_cdf(column([1.0, 2.0, 3.0]))
-        assert h(0.0) == 0.0
-
-    def test_between_atoms_returns_plain_cdf(self):
-        h = pooled_mid_cdf(column([1.0, 2.0, 3.0, 3.0]))
-        assert h(2.5) == pytest.approx(0.5)
-
-    def test_matches_midranks_at_sample_points(self):
-        xs = np.array([4.0, 1.0, 4.0, 2.0, 9.0])
-        mr = mid_rank_transform(column(xs))
-        h = pooled_mid_cdf(column(xs))
-        np.testing.assert_allclose(h(xs), mr.u, atol=1e-14)
-
-    def test_vectorized(self):
-        h = pooled_mid_cdf(column([1.0, 2.0]))
-        out = h(np.array([0.5, 1.0, 1.5, 2.0, 3.0]))
-        np.testing.assert_allclose(out, [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -134,7 +134,8 @@ def test_both_paths_agree_on_a_complete_tie_free_column():
         positive_label="1", n=n, p=1,
     )
     table = analyze(ds).per_variable[0].cr.components
-    masked = panel.panel_cr(ds.variables, y, 4, table=None).components[0]
+    with mock.patch.object(panel, "grid_scores", lambda n, m: None):
+        masked = panel.panel_cr(ds.variables, y, 4).components[0]
     np.testing.assert_allclose(table, masked, atol=TOL)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdmine.dataset import Dataset
+from cdmine.errors import ConfigError
 from cdmine.midrank import VariableColumn
 from cdmine.pipeline import (
     analyze,
@@ -126,9 +127,9 @@ def test_export_top_k_files_and_roundtrip(tmp_path):
     X[:, 0] += 2.5 * y
     X[:, 1] *= 1.0 + 3.0 * y
     X[:, 2] += 2.0 * y
-    report = analyze(make_dataset(X, y), top_k=2)
+    report = analyze(make_dataset(X, y))
     assert len(report.selected_names()) >= 2
-    written = export_plots(report, tmp_path, svg=True)
+    written = export_plots(report, tmp_path, top_k=2, svg=True)
     names = sorted(os.path.basename(w) for w in written)
     assert sum(b.startswith("cd_") and b.endswith(".csv") for b in names) == 2
     assert sum(b.startswith("pp_") and b.endswith(".csv") for b in names) == 2
@@ -142,6 +143,8 @@ def test_export_top_k_files_and_roundtrip(tmp_path):
     got = np.array([[float(r["u"]), float(r["dhat"])] for r in rows])
     np.testing.assert_allclose(got[:, 0], u, atol=1e-9)
     np.testing.assert_allclose(got[:, 1], dhat, atol=1e-9)
+    with pytest.raises(ConfigError):
+        export_plots(report, tmp_path, top_k=-1)
 
 
 def test_ranked_csv_rows_follow_positions_not_names(tmp_path):
@@ -152,7 +155,7 @@ def test_ranked_csv_rows_follow_positions_not_names(tmp_path):
     X[:, 5] += 2.5 * y
     names = [f"v{j}" for j in range(p)]
     names[5] = names[20] = "dup"
-    report = analyze(make_dataset(X, y, names), top_k=2)
+    report = analyze(make_dataset(X, y, names))
     path = tmp_path / "ranked.csv"
     write_ranked_csv(report, path)
     with open(path) as fh:
