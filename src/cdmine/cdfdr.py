@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import eval_legendre, log_ndtr, ndtri_exp
-from scipy.stats import norm
+from scipy.special import eval_legendre, log_ndtr, ndtr, ndtri_exp
 
 from .errors import ConfigError, NonFinite, TooFewItems, ZeroSpread
 
@@ -23,6 +22,8 @@ DENSITY_FLOOR = 0.01
 # p-values above 1 - 1e-16 are clipped there, so a flagged or null item
 # (CR = 0, p = 1) gets a finite z of about -8.2.
 LOG_P_MAX = np.log(1.0 - 1e-16)
+_SQRT_2PI = np.sqrt(2 * np.pi)
+_LOG_SQRT_2PI = np.log(_SQRT_2PI)
 
 
 class NullMethod(str, Enum):
@@ -52,10 +53,13 @@ class ResidualDensity:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        active = np.flatnonzero(self.kept)
-        d = np.ones_like(u)
-        for k in active:
-            d = d + self.coeffs[k] * _legendre01(k + 1, u)
+        return self._series(lambda k: _legendre01(k, u), u.shape)
+
+    def _series(self, term, shape):
+        """The floored series, with term(k) the k-th Legendre term (k >= 1)."""
+        d = np.ones(shape)
+        for k in np.flatnonzero(self.kept):
+            d = d + self.coeffs[k] * term(k + 1)
         return np.maximum(d, DENSITY_FLOOR)
 
 
@@ -97,21 +101,48 @@ def estimate_null(z, method: NullMethod = NullMethod.POOLED_MOMENTS) -> Empirica
     return EmpiricalNull(mu0, sigma0, method)
 
 
+def norm_cdf(x):
+    """Standard normal cdf.  This and the sf, pdf and log-pdf below run the
+    kernels of scipy's ``norm`` distribution without its argument handling,
+    so they agree with it bit for bit."""
+    return ndtr(x)
+
+
+def norm_sf(x):
+    return ndtr(-x)
+
+
+def norm_pdf(x):
+    return np.exp(-x**2 / 2.0) / _SQRT_2PI
+
+
+def norm_logpdf(x):
+    return -x**2 / 2.0 - _LOG_SQRT_2PI
+
+
 def preflatten(z, null: EmpiricalNull) -> np.ndarray:
     """Flatten scores through the estimated null cdf, clamped into (0, 1)."""
     z = np.asarray(z, dtype=float)
-    u = norm.cdf((z - null.mu0) / null.sigma0)
+    u = norm_cdf((z - null.mu0) / null.sigma0)
     return np.clip(u, U_EPS, 1.0 - U_EPS)
 
 
 def estimate_residual_density(u_flat, n_coeffs: int = 6) -> ResidualDensity:
+    return _fit_residual(u_flat, n_coeffs)[0]
+
+
+def _fit_residual(u_flat, n_coeffs: int):
+    """(residual density, its values at u_flat) from one pass over the
+    Legendre terms at u_flat."""
     if n_coeffs < 1:
         raise ConfigError("need at least one series coefficient")
     u = np.asarray(u_flat, dtype=float)
     p = u.size
-    theta = np.array([_legendre01(k, u).mean() for k in range(1, n_coeffs + 1)])
+    terms = [_legendre01(k, u) for k in range(1, n_coeffs + 1)]
+    theta = np.array([t.mean() for t in terms])
     kept = theta**2 > 2.0 / p
-    return ResidualDensity(coeffs=np.where(kept, theta, 0.0), kept=kept, n_items=p)
+    resid = ResidualDensity(coeffs=np.where(kept, theta, 0.0), kept=kept, n_items=p)
+    return resid, resid._series(lambda k: terms[k - 1], u.shape)
 
 
 def inverse_fdr_curve(
@@ -125,14 +156,17 @@ def inverse_fdr_curve(
     reference and the weight drops out.
     """
     z = np.asarray(z, dtype=float)
-    u = preflatten(z, null)
-    d = resid(u)
+    return _inverse_fdr(z, null, resid(preflatten(z, null)), weight_mode)
+
+
+def _inverse_fdr(z, null: EmpiricalNull, d, weight_mode: str):
+    """Inverse fdr from the residual density d at the items' flattened scores."""
     if weight_mode == "empirical":
         return d
     if weight_mode != "theoretical":
         raise ConfigError(f"unknown weight mode {weight_mode!r}")
     zs = (z - null.mu0) / null.sigma0
-    log_w = norm.logpdf(zs) - np.log(null.sigma0) - norm.logpdf(z)
+    log_w = norm_logpdf(zs) - np.log(null.sigma0) - norm_logpdf(z)
     return np.exp(log_w) * d
 
 
@@ -195,7 +229,7 @@ def _chi2_logsf_int(x, df: int):
         term = term * x / (2 * j - 1)
         total = total + term
     with np.errstate(divide="ignore"):
-        tail = np.log(2.0) + norm.logpdf(t) + np.log(total)
+        tail = np.log(2.0) + norm_logpdf(t) + np.log(total)
     return np.logaddexp(head, tail)
 
 
@@ -206,8 +240,11 @@ def cdfdr_pipeline(z, config: FdrConfig = FdrConfig()) -> FdrResult:
         raise NonFinite("z-scores must be finite")
     null = estimate_null(z, config.null_method)
     u = preflatten(z, null)
-    resid = estimate_residual_density(u, config.n_coeffs)
-    inv = inverse_fdr_curve(z, null, resid, config.weight_mode)
+    # One pass over the Legendre terms at u serves both the fit and the
+    # density at the items; estimate_residual_density followed by
+    # inverse_fdr_curve would flatten z and evaluate the kept terms twice.
+    resid, d = _fit_residual(u, config.n_coeffs)
+    inv = _inverse_fdr(z, null, d, config.weight_mode)
     sel = select(inv, u, config.fdr_level, config.sides)
     return FdrResult(
         z=z,

@@ -32,6 +32,7 @@ from .pipeline import (
 )
 from .simulate import (
     METHODS,
+    SIGNAL_MODELS,
     SimConfig,
     run_experiment,
     write_report_csv,
@@ -42,10 +43,23 @@ EXIT_OK = 0
 EXIT_PARSE = 2  # ParseError: an input cell or header, reported with its location
 EXIT_CONFIG = 3  # any other CdmineError, and a file that cannot be read or written
 
+
+def _one_of(choices):
+    """Config cast for a key limited to ``choices``, the ones its flag accepts."""
+
+    def cast(value):
+        if value not in choices:
+            raise ConfigError(f"{value!r} is not one of {', '.join(choices)}")
+        return value
+
+    return cast
+
+
 # simulate --config keys: each names the flag it overrides, with "_" for "-".
 CONFIG_KEYS = {
-    "p": int, "signals": int, "model": str, "mu": float, "lo": float, "hi": float,
-    "runs": int, "seed": int, "methods": lambda value: value.split(","),
+    "p": int, "signals": int, "model": _one_of(SIGNAL_MODELS), "mu": float,
+    "lo": float, "hi": float, "runs": int, "seed": int,
+    "methods": lambda value: [_one_of(METHODS)(v) for v in value.split(",")],
     "fdr_level": float,
 }
 
@@ -106,9 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--p", type=int, default=1000)
     p.add_argument("--signals", type=int, default=25)
-    p.add_argument(
-        "--model", choices=["gaussian-shift", "uniform-band"], default="gaussian-shift"
-    )
+    p.add_argument("--model", choices=SIGNAL_MODELS, default="gaussian-shift")
     p.add_argument("--mu", type=float, default=4.52)
     p.add_argument("--lo", type=float, default=2.0)
     p.add_argument("--hi", type=float, default=4.0)
@@ -212,8 +224,8 @@ def cmd_fdr(args) -> int:
 
 def apply_config_file(args, path):
     """Override ``args`` with the key=value lines of a config file; an
-    unknown key or a value that does not read as its type is a ConfigError
-    naming path:line."""
+    unknown key, a value that does not read as its type, or one outside its
+    flag's choices is a ConfigError naming path:line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -230,6 +242,8 @@ def apply_config_file(args, path):
                 setattr(args, key, CONFIG_KEYS[key](value))
             except ValueError:
                 raise ConfigError(f"{where}: {key}: cannot read {value!r}") from None
+            except ConfigError as exc:
+                raise ConfigError(f"{where}: {key}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:

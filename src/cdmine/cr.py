@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .comp_density import TwoSampleData
 from .errors import DegenerateVariable
@@ -46,14 +46,15 @@ def cr_statistic(components: np.ndarray) -> float:
 
 
 def null_pvalue(cr, n, m):
-    """Upper-tail chi-square (m df) probability at n * cr.
+    """Upper-tail chi-square (m df) probability at n * cr, which is 1 at
+    and below 0.
 
     Arrays broadcast and give an array; scalars give a float.
     """
     n, m = np.asarray(n), np.asarray(m)
     if np.any(n <= 0) or np.any(m < 1):
         raise ValueError("need n > 0 and m >= 1")
-    p = chi2.sf(n * np.asarray(cr, dtype=float), df=m)
+    p = chdtrc(m, np.maximum(n * np.asarray(cr, dtype=float), 0.0))
     return float(p) if p.ndim == 0 else p
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import AllMissing, NonFinite
 
@@ -63,9 +62,16 @@ def mid_rank_transform(col: VariableColumn) -> MidRankVector:
     if not np.all(np.isfinite(x)):
         raise NonFinite(f"column {col.name!r}: non-missing NaN or infinite value")
     n = x.size
-    ranks = rankdata(x, method="average")
-    u = (ranks - 0.5) / n
-    p_hat = np.unique(x, return_counts=True)[1] / n
+    # Tie groups of the sorted values: sizes in value order, and each
+    # group's average rank - 1/2 (exact: ranks are half-integers).
+    order = np.argsort(x)
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    half_rank = np.cumsum(sizes) - sizes / 2.0
+    u = np.empty(n)
+    u[order] = np.repeat(half_rank, sizes) / n
+    p_hat = sizes / n
     sigma_sq = (1.0 - np.sum(p_hat**3)) / 12.0
     sigma_mid = float(np.sqrt(max(sigma_sq, 0.0)))
     return MidRankVector(u=u, n_effective=n, sigma_mid=sigma_mid)

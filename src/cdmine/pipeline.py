@@ -76,8 +76,10 @@ def analyze_variable(
 ) -> VariableAnalysis:
     """Single-column reference path, basis and density estimate included.
 
-    Degenerate columns come back flagged, not raised.
+    Degenerate columns come back flagged, not raised; m < 1 is a ConfigError.
     """
+    if m < 1:
+        raise ConfigError("m must be >= 1")
     name = col.name
     mask = ~col.missing
     y = np.asarray(labels)[mask]

@@ -11,12 +11,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
-from .cdfdr import FdrConfig, cdfdr_pipeline
+from .cdfdr import FdrConfig, cdfdr_pipeline, norm_pdf, norm_sf
 from .errors import ConfigError
 
 METHODS = ("cdfdr", "bh", "naive-two-step")
+SIGNAL_MODELS = ("gaussian-shift", "uniform-band")
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,13 @@ class SimConfig:
             raise ConfigError("m_signals must lie in [0, p]")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if self.signal_model not in ("gaussian-shift", "uniform-band"):
+        if self.signal_model not in SIGNAL_MODELS:
             raise ConfigError(f"unknown signal model {self.signal_model!r}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ConfigError(f"unknown methods {sorted(unknown)}")
+        if not 0.0 < self.fdr_level < 1.0:
+            raise ConfigError("fdr_level must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def bh_baseline(z, level: float = 0.2) -> np.ndarray:
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be in (0, 1)")
     z = np.asarray(z, dtype=float)
-    p = 2.0 * norm.sf(np.abs(z))
+    p = 2.0 * norm_sf(np.abs(z))
     n = p.size
     order = np.argsort(p, kind="stable")
     thresh = level * (np.arange(1, n + 1) / n)
@@ -89,7 +91,7 @@ def naive_two_step_baseline(z, level: float = 0.2, bins: int = 40) -> np.ndarray
     floor = 1.0 / (z.size * span)
     dens = np.maximum(dens, floor)
     idx = np.clip(np.searchsorted(edges, z, side="right") - 1, 0, bins - 1)
-    fdr_hat = norm.pdf(z) / dens[idx]
+    fdr_hat = norm_pdf(z) / dens[idx]
     return fdr_hat <= level
 
 

@@ -12,6 +12,10 @@ from cdmine.cdfdr import (
     estimate_null,
     estimate_residual_density,
     inverse_fdr_curve,
+    norm_cdf,
+    norm_logpdf,
+    norm_pdf,
+    norm_sf,
     preflatten,
     select,
 )
@@ -256,3 +260,35 @@ class TestPipeline:
         result = cdfdr_pipeline(z, FdrConfig(weight_mode="empirical"))
         if not result.residual.kept.any():
             np.testing.assert_allclose(result.inverse_fdr, 1.0)
+
+
+def test_normal_kernels_match_scipy_norm_bit_for_bit():
+    from scipy.stats import norm
+
+    z = np.r_[np.linspace(-40.0, 40.0, 8001), -38.5, -0.0, 1e-300, 8.3, 37.5]
+    for ours, ref in [
+        (norm_cdf, norm.cdf),
+        (norm_sf, norm.sf),
+        (norm_pdf, norm.pdf),
+        (norm_logpdf, norm.logpdf),
+    ]:
+        np.testing.assert_array_equal(ours(z), ref(z))
+        assert ours(z[3]) == ref(z[3])
+
+
+@pytest.mark.parametrize("weight_mode", ["theoretical", "empirical"])
+@pytest.mark.parametrize("n_coeffs", [1, 3, 6, 9])
+def test_pipeline_equals_the_public_entry_points(weight_mode, n_coeffs):
+    rng = np.random.default_rng(n_coeffs)
+    z = np.concatenate([rng.standard_normal(900), rng.normal(4.0, 1.0, 100)])
+    cfg = FdrConfig(n_coeffs=n_coeffs, weight_mode=weight_mode)
+    result = cdfdr_pipeline(z, cfg)
+    u = preflatten(z, result.null)
+    resid = estimate_residual_density(u, n_coeffs)
+    np.testing.assert_array_equal(result.u_flat, u)
+    np.testing.assert_array_equal(result.residual.coeffs, resid.coeffs)
+    np.testing.assert_array_equal(result.residual.kept, resid.kept)
+    assert resid.kept.any()
+    np.testing.assert_array_equal(
+        result.inverse_fdr, inverse_fdr_curve(z, result.null, resid, weight_mode)
+    )

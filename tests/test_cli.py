@@ -52,6 +52,14 @@ def test_cd_subcommand(toy_csv, tmp_path):
     assert sorted(os.listdir(out)) == ["cd_v0.csv", "cd_v1.csv", "pp_v0.csv", "pp_v1.csv"]
 
 
+@pytest.mark.parametrize("command", [["rank"], ["cd", "--vars", "v0"]])
+def test_m_below_one_exit_code(toy_csv, tmp_path, capsys, command):
+    code = main([command[0], str(toy_csv), "--label", "cls", *command[1:], "--M", "0",
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "m must be >= 1" in capsys.readouterr().err
+
+
 def test_cd_unknown_variable(toy_csv, tmp_path):
     code = main(
         ["cd", str(toy_csv), "--label", "cls", "--vars", "nope", "--out", str(tmp_path)]
@@ -264,6 +272,8 @@ def test_simulate_config_keys_reach_their_settings(tmp_path, monkeypatch):
         ("p=80\nm_signals=5\n", "sim.cfg:2: unknown key 'm_signals'"),
         ("fdr-level=0.05\n", "sim.cfg:1: unknown key 'fdr-level'"),
         ("# runs\n\nruns=abc\n", "sim.cfg:3: runs: cannot read 'abc'"),
+        ("model=foo\n", "sim.cfg:1: model: 'foo' is not one of gaussian-shift, uniform-band"),
+        ("p=80\nmethods=bh,xyz\n", "sim.cfg:2: methods: 'xyz' is not one of cdfdr, bh,"),
     ],
 )
 def test_simulate_config_rejects_what_it_cannot_apply(tmp_path, capsys, text, message):

@@ -77,6 +77,16 @@ class TestNullPvalue:
             p = null_pvalue(m / 100.0, 100, m)
             assert 0.3 < p < 0.7
 
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 6])
+    def test_matches_scipy_chi2_sf_bit_for_bit(self, df):
+        from scipy.stats import chi2
+
+        x = np.r_[0.0, np.geomspace(1e-3, 2e3, 4000)]
+        np.testing.assert_array_equal(null_pvalue(x, 1, df), chi2.sf(x, df))
+        cr = x / 102.0
+        np.testing.assert_array_equal(null_pvalue(cr, 102, df), chi2.sf(102 * cr, df))
+        assert null_pvalue(x[7], 1, df) == chi2.sf(x[7], df)
+
     def test_chi2_two_df_closed_form(self):
         # chi-square with 2 df has survival exp(-x/2); 5.991 is the 5% point
         p = null_pvalue(5.991 / 100.0, 100, 2)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from cdmine.errors import AllMissing, NonFinite
 from cdmine.midrank import VariableColumn, mid_rank_transform
@@ -104,3 +105,17 @@ def test_missing_value_locality():
     without = mid_rank_transform(column(values[~missing]))
     np.testing.assert_array_equal(with_missing.u, without.u)
     assert with_missing.sigma_mid == without.sigma_mid
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 200), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_matches_rankdata_and_unique_counts_bit_for_bit(n, n_levels, seed):
+    # n draws from n_levels random values plus both signed zeros and a
+    # negative constant: heavy ties at few levels, few ties at many.
+    rng = np.random.default_rng(seed)
+    levels = np.r_[np.round(rng.normal(0.0, 50.0, n_levels), 1), -0.0, 0.0, -3.5]
+    x = rng.choice(levels, n)
+    mr = mid_rank_transform(column(x))
+    np.testing.assert_array_equal(mr.u, (rankdata(x, method="average") - 0.5) / n)
+    p_hat = np.unique(x, return_counts=True)[1] / n
+    assert mr.sigma_mid == float(np.sqrt(max((1.0 - np.sum(p_hat**3)) / 12.0, 0.0)))

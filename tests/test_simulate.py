@@ -105,6 +105,14 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(SimConfig(m_signals=5, methods=("magic",)))
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2])
+    def test_fdr_level_outside_unit_interval(self, level):
+        # The naive arm has no level check of its own, so only validate stops it.
+        cfg = SimConfig(m_signals=5, p=50, runs=1, methods=("naive-two-step",),
+                        fdr_level=level)
+        with pytest.raises(ConfigError, match="fdr_level"):
+            run_experiment(cfg)
+
 
 def test_report_files_roundtrip(tmp_path):
     import csv
