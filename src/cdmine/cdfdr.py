@@ -22,6 +22,9 @@ DENSITY_FLOOR = 0.01
 # p-values above 1 - 1e-16 are clipped there, so a flagged or null item
 # (CR = 0, p = 1) gets a finite z of about -8.2.
 LOG_P_MAX = np.log(1.0 - 1e-16)
+# The largest finite double: the printed inverse fdr of an item whose f/f0
+# overflows.
+INVERSE_FDR_MAX = np.finfo(float).max
 _SQRT_2PI = np.sqrt(2 * np.pi)
 _LOG_SQRT_2PI = np.log(_SQRT_2PI)
 
@@ -160,14 +163,20 @@ def inverse_fdr_curve(
 
 
 def _inverse_fdr(z, null: EmpiricalNull, d, weight_mode: str):
-    """Inverse fdr from the residual density d at the items' flattened scores."""
+    """Inverse fdr from the residual density d at the items' flattened scores.
+
+    Where the theoretical weight overflows (z^2/2 - zs^2/2 past about 709),
+    the inverse fdr is capped at INVERSE_FDR_MAX, which every threshold
+    1/level selects.
+    """
     if weight_mode == "empirical":
         return d
     if weight_mode != "theoretical":
         raise ConfigError(f"unknown weight mode {weight_mode!r}")
     zs = (z - null.mu0) / null.sigma0
     log_w = norm_logpdf(zs) - np.log(null.sigma0) - norm_logpdf(z)
-    return np.exp(log_w) * d
+    with np.errstate(over="ignore"):
+        return np.minimum(np.exp(log_w) * d, INVERSE_FDR_MAX)
 
 
 def select(inverse_fdr, u_flat, fdr_level: float = 0.2, sides: str = "two") -> np.ndarray:

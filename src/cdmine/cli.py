@@ -62,6 +62,8 @@ CONFIG_KEYS = {
     "methods": lambda value: [_one_of(METHODS)(v) for v in value.split(",")],
     "fdr_level": float,
 }
+# The SimConfig field each config key sets, where the names differ.
+CONFIG_FIELDS = {"signals": "m_signals", "model": "signal_model"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,10 +224,14 @@ def cmd_fdr(args) -> int:
     return EXIT_OK
 
 
-def apply_config_file(args, path):
+def apply_config_file(args, path) -> dict:
     """Override ``args`` with the key=value lines of a config file; an
     unknown key, a value that does not read as its type, or one outside its
-    flag's choices is a ConfigError naming path:line."""
+    flag's choices is a ConfigError naming path:line.
+
+    Returns the line number of each key the file set.
+    """
+    lines = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -244,11 +250,12 @@ def apply_config_file(args, path):
                 raise ConfigError(f"{where}: {key}: cannot read {value!r}") from None
             except ConfigError as exc:
                 raise ConfigError(f"{where}: {key}: {exc}") from None
+            lines[key] = lineno
+    return lines
 
 
 def cmd_simulate(args) -> int:
-    if args.config:
-        apply_config_file(args, args.config)
+    lines = apply_config_file(args, args.config) if args.config else {}
     cfg = SimConfig(
         p=args.p,
         m_signals=args.signals,
@@ -261,6 +268,14 @@ def cmd_simulate(args) -> int:
         methods=tuple(args.methods),
         fdr_level=args.fdr_level,
     )
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        # Name the last config line that set a field the failed rule read.
+        set_at = [n for k, n in lines.items() if CONFIG_FIELDS.get(k, k) in exc.fields]
+        if set_at:
+            raise ConfigError(f"{args.config}:{max(set_at)}: {exc}") from None
+        raise
     report = run_experiment(cfg)
     os.makedirs(args.out, exist_ok=True)
     write_report_csv(report, os.path.join(args.out, "runs.csv"))

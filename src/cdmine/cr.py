@@ -92,21 +92,19 @@ def cr_result(data: TwoSampleData, basis: ScoreBasis, variable_id: str = "") -> 
 
 @dataclass(frozen=True)
 class RankedReport:
-    """CR results in descending order."""
+    """A rank order: descending CR, ties kept in input order."""
 
-    ordered: list  # CrResult, rank order
+    order: np.ndarray  # input positions, in rank order
     ranks: np.ndarray  # rank (1-based) per input position
     sorted_cr: np.ndarray  # descending CR values, for the threshold plot
 
 
-def rank_variables(results: list) -> RankedReport:
-    if not results:
+def rank_variables(cr) -> RankedReport:
+    """Rank an array of CR values, one per variable in input order."""
+    cr = np.asarray(cr, dtype=float)
+    if cr.size == 0:
         raise ValueError("no results to rank")
-    order = sorted(range(len(results)), key=lambda i: (-results[i].cr, i))
-    ordered = [results[i] for i in order]
-    ranks = np.empty(len(results), dtype=int)
-    for rank0, i in enumerate(order):
-        ranks[i] = rank0 + 1
-    sorted_cr = np.array([r.cr for r in ordered])
-    return RankedReport(ordered=ordered, ranks=ranks, sorted_cr=sorted_cr)
-
+    order = np.argsort(-cr, kind="stable")
+    ranks = np.empty(cr.size, dtype=int)
+    ranks[order] = np.arange(1, cr.size + 1)
+    return RankedReport(order=order, ranks=ranks, sorted_cr=cr[order])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,9 @@ DEFAULT_MISSING_TOKENS = ("NA", "", "?")
 
 @dataclass(frozen=True)
 class Dataset:
+    """Feature columns in header order and a 0/1 label per row.  Columns
+    from ``load_csv`` are row views of one (p, n) matrix."""
+
     variables: list  # VariableColumn
     labels: np.ndarray  # 0/1, length n
     positive_label: str
@@ -30,9 +34,14 @@ def load_csv(
 ) -> Dataset:
     """Parse a header-bearing CSV into feature columns and a binary label.
 
-    Feature cells matching a missing token, or reading as NaN, get masked;
-    any other non-numeric cell, an infinite value and a repeated header name
-    are each a ParseError with its location.
+    A feature cell that matches a missing token, as written or stripped, or
+    that reads as NaN is missing.  All feature cells are parsed in one pass
+    into a single (p, n) array, and each returned ``VariableColumn`` is a row
+    view of it and of its missing mask.  A ragged row, a non-numeric cell,
+    an infinite value and a repeated header name are each a ParseError with
+    its location; the first bad row or cell in file order wins, and an
+    infinite value is reported only when every cell parses, from the lowest
+    column and then the lowest row.
     """
     missing = set(missing_tokens)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -50,44 +59,43 @@ def load_csv(
     if label_column not in header:
         raise LabelError(f"label column {label_column!r} not in header")
     label_idx = header.index(label_column)
+    names = header[:label_idx] + header[label_idx + 1 :]
 
-    n = len(rows)
+    n, p = len(rows), len(names)
     if n == 0:
         raise ParseError("no data rows", row=2)
-    raw_labels = []
-    columns = {j: [] for j in range(len(header)) if j != label_idx}
     for i, row in enumerate(rows):
         if len(row) != len(header):
+            _raise_first_bad_cell(
+                [r[:label_idx] + r[label_idx + 1 :] for r in rows[:i]], names, missing
+            )
             raise ParseError(
                 f"row has {len(row)} fields, expected {len(header)}", row=i + 2
             )
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                raw_labels.append(cell.strip())
-                continue
-            cell = cell.strip()
-            if cell in missing:
-                columns[j].append(np.nan)
-                continue
-            try:
-                columns[j].append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"cannot parse {cell!r} as a number",
-                    row=i + 2,
-                    column=header[j],
-                ) from None
-
-    variables = []
-    for j in sorted(columns):
-        values = np.array(columns[j])
-        inf = np.flatnonzero(np.isinf(values))
-        if inf.size:
-            i = int(inf[0])
-            raise ParseError(
-                f"infinite value {rows[i][j].strip()!r}", row=i + 2, column=header[j]
-            )
-        variables.append(VariableColumn.from_values(values, name=header[j]))
+    raw_labels = [row.pop(label_idx).strip() for row in rows]
+    # A missing cell becomes "nan": first where its stripped form is a token,
+    # then, if some token has surrounding whitespace, where it is one as written.
+    cells = list(itertools.chain.from_iterable(rows))
+    to_nan = dict.fromkeys(missing, "nan")
+    cells = list(map(to_nan.get, map(str.strip, cells), cells))
+    if any(t != t.strip() for t in missing):
+        cells = list(map(to_nan.get, itertools.chain.from_iterable(rows), cells))
+    try:
+        flat = np.fromiter(map(float, cells), dtype=float, count=n * p)
+    except ValueError:
+        _raise_first_bad_cell(rows, names, missing)
+        raise
+    X = np.ascontiguousarray(flat.reshape(n, p).T)
+    isinf = np.isinf(X)
+    if isinf.any():
+        j, i = np.argwhere(isinf)[0]
+        raise ParseError(
+            f"infinite value {rows[i][j].strip()!r}", row=int(i) + 2, column=names[j]
+        )
+    mask = np.isnan(X)
+    variables = [
+        VariableColumn(values=X[j], missing=mask[j], name=names[j]) for j in range(p)
+    ]
 
     distinct_labels = sorted(set(raw_labels))
     if len(distinct_labels) != 2:
@@ -106,5 +114,22 @@ def load_csv(
         labels=labels,
         positive_label=positive_label,
         n=n,
-        p=len(variables),
+        p=p,
     )
+
+
+def _raise_first_bad_cell(rows, names, missing):
+    """Raise a located ParseError at the first feature cell, in file order,
+    that is neither missing nor a number; ``rows`` hold feature cells only."""
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if cell in missing or cell.strip() in missing:
+                continue
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"cannot parse {cell.strip()!r} as a number",
+                    row=i + 2,
+                    column=names[j],
+                ) from None

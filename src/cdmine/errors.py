@@ -55,4 +55,12 @@ class LabelError(CdmineError):
 
 
 class ConfigError(CdmineError):
-    """Invalid configuration (flags, config file, or programmatic config)."""
+    """Invalid configuration (flags, config file, or programmatic config).
+
+    ``fields`` names the settings a range rule read, so that a caller can
+    point at where they were set.
+    """
+
+    def __init__(self, message, fields=()):
+        super().__init__(message)
+        self.fields = tuple(fields)

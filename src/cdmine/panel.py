@@ -127,6 +127,21 @@ def _masked(order, first, present, nj, n1, y, m):
     """Components (q, m) and m_used (q,) of q non-degenerate columns with
     ties or missing entries.  ``first`` marks, in each column's sort order,
     the entries that start a new distinct value."""
+    scores, m_used = _masked_scores(order, first, present, nj, m)
+    # Same centring and scaling as cr.component_correlations.
+    pi = n1 / nj
+    mean_s = scores.sum(axis=2) / nj
+    cov = scores @ y / nj - pi * mean_s
+    sd_s = np.sqrt(np.maximum((scores**2).sum(axis=2) / nj - mean_s**2, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = cov / (np.sqrt(pi * (1.0 - pi)) * sd_s)
+    r = np.where(np.arange(len(r))[:, None] < m_used, r, 0.0)
+    return r.T, m_used
+
+
+def _masked_scores(order, first, present, nj, m):
+    """Scores (m, q, n), zero at missing entries, and m_used (q,): the first
+    m_used scores of each column are orthonormal under weights 1/n_j."""
     q, n = order.shape
     nj_ = nj[:, None]
     present_sorted = np.arange(n) < nj_
@@ -154,13 +169,4 @@ def _masked(order, first, present, nj, n1, y, m):
         norm = np.sqrt(np.einsum("ij,ij->i", v, v) / nj)
         m_used = np.where(norm < RESIDUAL_NORM_FLOOR, np.minimum(m_used, k - 1), m_used)
         scores[k - 1] = v / np.where(norm > 0.0, norm, 1.0)[:, None]
-
-    # Same centring and scaling as cr.component_correlations.
-    pi = n1 / nj
-    mean_s = scores.sum(axis=2) / nj
-    cov = scores @ y / nj - pi * mean_s
-    sd_s = np.sqrt(np.maximum((scores**2).sum(axis=2) / nj - mean_s**2, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = cov / (np.sqrt(pi * (1.0 - pi)) * sd_s)
-    r = np.where(np.arange(len(r))[:, None] < m_used, r, 0.0)
-    return r.T, m_used
+    return scores, m_used

@@ -7,6 +7,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,16 +25,18 @@ from .cr import (
 from .dataset import Dataset
 from .errors import AllMissing, ConfigError, DegenerateVariable
 from .midrank import VariableColumn, mid_rank_transform
-from .panel import panel_cr
+from .panel import PanelCr, panel_cr
 from .score_basis import ScoreBasis, feasible_score_basis
 
 CURVE_GRID_SIZE = 512
 MIN_FDR_ITEMS = 20
+# Lossless decimal serialization for report numbers, as a %-format.
+NUMBER_FORMAT = "%.17g"
 
 
 def fmt(x) -> str:
-    """Lossless decimal serialization for report numbers."""
-    return format(float(x), ".17g")
+    """A report number in NUMBER_FORMAT."""
+    return NUMBER_FORMAT % float(x)
 
 
 @dataclass(frozen=True)
@@ -54,21 +57,58 @@ class VariableAnalysis:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    per_variable: list  # VariableAnalysis, input order
+    """A panel's CR results as arrays in input order, and its CDfdr stage.
+
+    ``ranked.order`` lists input positions by descending CR, ties in input
+    order; the report writers read the arrays.  ``per_variable`` and
+    ``variable`` build ``VariableAnalysis`` objects only when asked.
+    """
+
+    names: list  # variable names, input order
+    panel: PanelCr  # components, n_effective, m_used and flags
+    cr: np.ndarray
+    pvalue: np.ndarray
+    categories: list
     ranked: RankedReport
     fdr: FdrResult | None  # None when too few variables for the fdr stage
     m: int
     fdr_level: float
     n: int
+    dataset: Dataset
+
+    def variable(self, i: int) -> VariableAnalysis:
+        """The CR result of the variable at input position i."""
+        name = self.names[i]
+        cr = CrResult(
+            components=self.panel.components[i],
+            cr=float(self.cr[i]),
+            pvalue=float(self.pvalue[i]),
+            category=self.categories[i],
+            n_effective=int(self.panel.n_effective[i]),
+            variable_id=name,
+            flag=self.panel.flags[i],
+        )
+        return VariableAnalysis(
+            name=name,
+            cr=cr,
+            column=self.dataset.variables[i],
+            labels=np.asarray(self.dataset.labels),
+        )
+
+    @cached_property
+    def per_variable(self) -> list:
+        """``variable(i)`` of every position, in input order."""
+        return [self.variable(i) for i in range(len(self.names))]
 
     def selected_positions(self):
         """Input positions of the CDfdr-selected variables, in rank order."""
         if self.fdr is None:
             return []
-        return [int(i) for i in np.argsort(self.ranked.ranks) if self.fdr.selected[i]]
+        order = self.ranked.order
+        return order[self.fdr.selected[order]].tolist()
 
     def selected_names(self):
-        return [self.per_variable[i].name for i in self.selected_positions()]
+        return [self.names[i] for i in self.selected_positions()]
 
 
 def analyze_variable(
@@ -147,29 +187,10 @@ def analyze(
     ok = panel.m_used > 0
     pvalue = np.ones(cr.size)
     pvalue[ok] = null_pvalue(cr[ok], panel.n_effective[ok], panel.m_used[ok])
-    categories = categorize_rows(panel.components)
-    per_variable = [
-        VariableAnalysis(
-            name=col.name,
-            cr=CrResult(
-                components=panel.components[i],
-                cr=float(cr[i]),
-                pvalue=float(pvalue[i]),
-                category=categories[i],
-                n_effective=int(panel.n_effective[i]),
-                variable_id=col.name,
-                flag=panel.flags[i],
-            ),
-            column=col,
-            labels=labels,
-        )
-        for i, col in enumerate(dataset.variables)
-    ]
-
-    ranked = rank_variables([va.cr for va in per_variable])
+    ranked = rank_variables(cr)
 
     fdr = None
-    if len(per_variable) >= MIN_FDR_ITEMS:
+    if cr.size >= MIN_FDR_ITEMS:
         # A one-sided z per variable through its own chi-square df keeps
         # reduced-df columns comparable; flagged columns sit at p = 1.
         z = cr_to_z(cr, panel.n_effective, np.maximum(panel.m_used, 1))
@@ -178,12 +199,17 @@ def analyze(
             FdrConfig(fdr_level=fdr_level, null_method=null_method, sides="right"),
         )
     return AnalysisReport(
-        per_variable=per_variable,
+        names=[col.name for col in dataset.variables],
+        panel=panel,
+        cr=cr,
+        pvalue=pvalue,
+        categories=categorize_rows(panel.components),
         ranked=ranked,
         fdr=fdr,
         m=m,
         fdr_level=fdr_level,
         n=dataset.n,
+        dataset=dataset,
     )
 
 
@@ -198,48 +224,64 @@ def curve_grid(va: VariableAnalysis, size: int = CURVE_GRID_SIZE):
 
 
 def write_ranked_csv(report: AnalysisReport, path):
+    """One row per variable in rank order, written column by column from
+    the report arrays."""
     m = report.m
     header = (
         ["variable_id", "n_effective"]
         + [f"R{a}" for a in range(1, m + 1)]
         + ["CR", "pvalue", "category", "rank", "flag", "z", "inverse_fdr", "selected"]
     )
+    order = report.ranked.order
+    by_rank = order.tolist()
+    columns = [
+        [report.names[i] for i in by_rank],
+        report.panel.n_effective[order].tolist(),
+        *report.panel.components[order].T.tolist(),
+        report.cr[order].tolist(),
+        report.pvalue[order].tolist(),
+        [report.categories[i] for i in by_rank],
+        range(1, len(by_rank) + 1),
+        [report.panel.flags[i] for i in by_rank],
+    ]
+    fields = ["%s", "%d"] + [NUMBER_FORMAT] * (m + 2) + ["%s", "%d", "%s"]
+    if report.fdr is not None:
+        fdr = report.fdr
+        columns += [
+            fdr.z[order].tolist(),
+            fdr.inverse_fdr[order].tolist(),
+            fdr.selected[order].tolist(),
+        ]
+        fields += [NUMBER_FORMAT, NUMBER_FORMAT, "%d"]
+    else:
+        fields += ["", "", "0"]
+    row = ",".join(fields) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for rank0, i in enumerate(np.argsort(report.ranked.ranks)):
-            cr = report.per_variable[i].cr
-            if report.fdr is not None:
-                z, inv = fmt(report.fdr.z[i]), fmt(report.fdr.inverse_fdr[i])
-                sel = "1" if report.fdr.selected[i] else "0"
-            else:
-                z, inv, sel = "", "", "0"
-            comps = list(cr.components) + [0.0] * (m - len(cr.components))
-            row = (
-                [cr.variable_id, str(cr.n_effective)]
-                + [fmt(c) for c in comps[:m]]
-                + [fmt(cr.cr), fmt(cr.pvalue), cr.category, str(rank0 + 1), cr.flag]
-                + [z, inv, sel]
-            )
-            fh.write(",".join(row) + "\n")
+        fh.writelines(map(row.__mod__, zip(*columns)))
 
 
 def write_sorted_cr_csv(report: AnalysisReport, path):
+    ranked = report.ranked
+    names = [report.names[i] for i in ranked.order.tolist()]
+    rows = zip(range(1, len(names) + 1), names, ranked.sorted_cr.tolist())
+    row = "%d,%s," + NUMBER_FORMAT + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("rank,variable_id,cr\n")
-        for rank0, cr in enumerate(report.ranked.ordered):
-            fh.write(f"{rank0 + 1},{cr.variable_id},{fmt(cr.cr)}\n")
+        fh.writelines(map(row.__mod__, rows))
 
 
 def write_summary_json(report: AnalysisReport, path):
+    selected = report.selected_names()
     payload = {
         "n": report.n,
-        "p": len(report.per_variable),
+        "p": len(report.names),
         "m": report.m,
         "fdr_level": report.fdr_level,
-        "selected": report.selected_names(),
-        "n_selected": len(report.selected_names()),
+        "selected": selected,
+        "n_selected": len(selected),
         "flagged": {
-            va.name: va.cr.flag for va in report.per_variable if va.cr.flag
+            name: flag for name, flag in zip(report.names, report.panel.flags) if flag
         },
     }
     if report.fdr is not None:
@@ -270,15 +312,13 @@ def export_plots(report: AnalysisReport, out_dir, top_k: int = 10, svg: bool = F
     write_sorted_cr_csv(report, path)
     written.append(path)
     if svg:
-        pts = list(
-            zip(range(1, len(report.ranked.sorted_cr) + 1), report.ranked.sorted_cr)
-        )
+        pts = list(enumerate(report.ranked.sorted_cr.tolist(), 1))
         path = os.path.join(out_dir, "sorted_cr.svg")
         svgplot.polyline_svg(pts, path, xlabel="rank", ylabel="CR")
         written.append(path)
 
     for i in report.selected_positions()[:top_k]:
-        va = with_density(report.per_variable[i])
+        va = with_density(report.variable(i))
         if va.cd is not None:
             written += write_curves(va, out_dir, svg=svg)
     return written
@@ -292,18 +332,13 @@ def write_curves(va: VariableAnalysis, out_dir, svg: bool = False):
     """
     safe = _safe_name(va.name)
     u, dhat = curve_grid(va)
+    pp = va.cd.pp_points
     written = []
     path = os.path.join(out_dir, f"cd_{safe}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("u,dhat\n")
-        for ui, di in zip(u, dhat):
-            fh.write(f"{fmt(ui)},{fmt(di)}\n")
+    _write_xy_csv(path, "u,dhat", u, dhat)
     written.append(path)
     path = os.path.join(out_dir, f"pp_{safe}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("h,f\n")
-        for h, f in va.cd.pp_points:
-            fh.write(f"{fmt(h)},{fmt(f)}\n")
+    _write_xy_csv(path, "h,f", pp[:, 0], pp[:, 1])
     written.append(path)
     if svg:
         path = os.path.join(out_dir, f"cd_{safe}.svg")
@@ -311,10 +346,17 @@ def write_curves(va: VariableAnalysis, out_dir, svg: bool = False):
         written.append(path)
         path = os.path.join(out_dir, f"pp_{safe}.svg")
         svgplot.polyline_svg(
-            [tuple(p) for p in va.cd.pp_points], path, xlabel="H", ylabel="F"
+            [tuple(p) for p in pp], path, xlabel="H", ylabel="F"
         )
         written.append(path)
     return written
+
+
+def _write_xy_csv(path, header: str, x, y):
+    row = f"{NUMBER_FORMAT},{NUMBER_FORMAT}\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(map(row.__mod__, zip(x.tolist(), y.tolist())))
 
 
 def _safe_name(name: str) -> str:

@@ -34,16 +34,16 @@ class SimConfig:
 
     def validate(self):
         if not 0 <= self.m_signals <= self.p:
-            raise ConfigError("m_signals must lie in [0, p]")
+            raise ConfigError("m_signals must lie in [0, p]", ("m_signals", "p"))
         if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
+            raise ConfigError("runs must be >= 1", ("runs",))
         if self.signal_model not in SIGNAL_MODELS:
             raise ConfigError(f"unknown signal model {self.signal_model!r}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ConfigError(f"unknown methods {sorted(unknown)}")
         if not 0.0 < self.fdr_level < 1.0:
-            raise ConfigError("fdr_level must be in (0, 1)")
+            raise ConfigError("fdr_level must be in (0, 1)", ("fdr_level",))
 
 
 @dataclass(frozen=True)

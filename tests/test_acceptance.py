@@ -10,12 +10,14 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import chi2, kstest
+from scipy.stats import chi2, kstest, rankdata
 
 import cdmine as c
+from cdmine import panel
 from cdmine.cdfdr import FdrConfig, cdfdr_pipeline, cr_to_z
 from cdmine.dataset import Dataset
 from cdmine.midrank import VariableColumn
+from cdmine.panel import panel_cr
 from cdmine.pipeline import analyze, write_ranked_csv
 from cdmine.simulate import SimConfig, run_experiment
 
@@ -120,6 +122,136 @@ def test_criterion_3_null_calibration():
     elapsed = time.time() - start
     ok = ks < 0.05 and 0.035 <= frac <= 0.065 and elapsed < 60.0
     report(3, ok, f"KS {ks:.4f}, frac(p<0.05) {frac:.4f}, {elapsed:.1f}s")
+
+
+def engine_columns(rng, n, p):
+    """Columns of every kind the panel engine meets, in turn: complete and
+    tie-free (the shared grid table), rounded (ties), rounded with missing
+    cells, and three-level (m reduced to 2); the last three take the masked
+    path."""
+    X = rng.normal(size=(n, p))
+    kind = np.arange(p) % 4
+    X[:, kind == 1] = np.round(X[:, kind == 1], 1)
+    X[:, kind == 2] = np.round(X[:, kind == 2], 1)
+    X[:, kind == 2] = np.where(rng.random((n, (kind == 2).sum())) < 0.1, np.nan, X[:, kind == 2])
+    X[:, kind == 3] = rng.integers(0, 3, size=(n, (kind == 3).sum()))
+    return [
+        VariableColumn(values=X[:, j], missing=np.isnan(X[:, j]), name=f"v{j}")
+        for j in range(p)
+    ]
+
+
+def balanced_labels(rng, n):
+    return rng.permutation(np.arange(n) % 2)
+
+
+def test_criterion_1_engine_identity_in_both_paths():
+    # Sum of R_k^2 from panel_cr is the R^2 of the labels on polynomials of
+    # degree m_used in the column's mid-ranks, whose span the scores share.
+    start = time.time()
+    rng = np.random.default_rng(1011)
+    worst, shared, masked = 0.0, 0, 0
+    for _ in range(20):
+        n = int(rng.integers(20, 200))
+        y = balanced_labels(rng, n)
+        cols = engine_columns(rng, n, 40)
+        out = panel_cr(cols, y, 4)
+        for j, col in enumerate(cols):
+            k = out.m_used[j]
+            if k == 0:
+                continue
+            keep = ~col.missing
+            u = (rankdata(col.values[keep]) - 0.5) / keep.sum()
+            yk = y[keep].astype(float)
+            design = np.vander(u - 0.5, k + 1)
+            coef = np.linalg.lstsq(design, yk, rcond=None)[0]
+            resid = yk - design @ coef
+            r2 = 1.0 - resid @ resid / np.sum((yk - yk.mean()) ** 2)
+            worst = max(worst, abs((out.components[j] ** 2).sum() - r2))
+            tie_free = keep.all() and np.unique(col.values).size == n
+            shared += tie_free
+            masked += not tie_free
+    elapsed = time.time() - start
+    ok = worst < 1e-10 and shared > 0 and masked > 0 and elapsed < 5.0
+    report("1 (engine)", ok, f"max |sum R^2 - R^2| {worst:.2e} over {shared} shared-grid "
+           f"and {masked} masked columns, {elapsed:.2f}s")
+
+
+def test_criterion_2_engine_masked_scores_orthonormal():
+    start = time.time()
+    rng = np.random.default_rng(1012)
+    worst, checked = 0.0, 0
+    for trial in range(20):
+        n = int(rng.integers(20, 300))
+        m = 4 if trial % 2 else 6
+        cols = engine_columns(rng, n, 40)
+        x = np.array([np.where(c.missing, np.nan, c.values) for c in cols])
+        present = ~np.isnan(x)
+        order = np.argsort(x, axis=1)
+        xs = np.take_along_axis(x, order, axis=1)
+        first = np.ones(x.shape, dtype=bool)
+        first[:, 1:] = xs[:, 1:] != xs[:, :-1]
+        nj = present.sum(axis=1)
+        scores, m_used = panel._masked_scores(order, first, present, nj, m)
+        for q in range(len(cols)):
+            s = scores[: m_used[q], q]
+            gram = s @ s.T / nj[q]
+            worst = max(
+                worst,
+                np.abs(gram - np.eye(m_used[q])).max(),
+                np.abs(s.sum(axis=1) / nj[q]).max(),
+                np.abs(s[:, ~present[q]]).max(initial=0.0),
+            )
+            checked += 1
+    elapsed = time.time() - start
+    ok = worst < 1e-10 and elapsed < 10.0
+    report("2 (engine)", ok, f"max gram dev {worst:.3e} over {checked} masked columns, "
+           f"{elapsed:.2f}s")
+
+
+def test_criterion_3_engine_null_calibration():
+    # One panel_cr call on 2000 null columns: half complete and tie-free,
+    # half tied and a quarter of those with missing cells.
+    start = time.time()
+    rng = np.random.default_rng(1013)
+    n, p = 100, 2000
+    y = balanced_labels(rng, n)
+    X = rng.normal(size=(n, p))
+    X[:, p // 2 :] = np.round(X[:, p // 2 :], 1)
+    holes = rng.random((n, p // 4)) < 0.05
+    X[:, 3 * p // 4 :][holes] = np.nan
+    cols = [VariableColumn.from_values(X[:, j], name=f"v{j}") for j in range(p)]
+    out = panel_cr(cols, y, 4)
+    cr = (out.components**2).sum(axis=1)
+    ncr = out.n_effective * cr
+    pvals = c.null_pvalue(cr, out.n_effective, 4)
+    ks = kstest(ncr, chi2(df=4).cdf).statistic
+    frac = (pvals < 0.05).mean()
+    elapsed = time.time() - start
+    ok = (out.m_used == 4).all() and ks < 0.05 and 0.035 <= frac <= 0.065 and elapsed < 60.0
+    report("3 (engine)", ok, f"KS {ks:.4f}, frac(p<0.05) {frac:.4f}, {elapsed:.2f}s")
+
+
+def test_criterion_4_engine_monotone_invariance_in_both_paths():
+    start = time.time()
+    rng = np.random.default_rng(1014)
+    ok = True
+    for _ in range(10):
+        n = int(rng.integers(20, 200))
+        y = balanced_labels(rng, n)
+        cols = engine_columns(rng, n, 40)
+        base = panel_cr(cols, y, 4)
+        for f in (np.exp, np.arctan, lambda v: 3.0 * v - 1.0):
+            moved = [VariableColumn(values=f(col.values), missing=col.missing) for col in cols]
+            for col, mv in zip(cols, moved):
+                keep = ~col.missing
+                assert np.array_equal(rankdata(col.values[keep]), rankdata(mv.values[keep]))
+            out = panel_cr(moved, y, 4)
+            ok = ok and np.array_equal(out.components, base.components)
+            ok = ok and np.array_equal(out.m_used, base.m_used) and out.flags == base.flags
+    elapsed = time.time() - start
+    ok = ok and elapsed < 10.0
+    report("4 (engine)", ok, f"10 panels x 3 transforms bit-identical, {elapsed:.2f}s")
 
 
 def test_criterion_4_monotone_invariance(tmp_path):

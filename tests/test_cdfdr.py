@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ class TestInverseFdr:
         )
         inv = inverse_fdr_curve(np.array([4.0]), null, resid)
         assert inv[0] == pytest.approx(expected, rel=1e-10)
+
+
+    def test_overflowing_weight_is_capped_silently(self):
+        # z = 41.2 puts z^2/2 - zs^2/2 past the largest exponent a double holds.
+        z = np.concatenate([np.random.default_rng(9).standard_normal(39), [41.2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = cdfdr_pipeline(z, FdrConfig(sides="right"))
+        assert np.all(np.isfinite(result.inverse_fdr))
+        assert result.inverse_fdr[-1] == np.finfo(float).max
+        assert result.selected[-1]
 
 
 class TestSelect:

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +276,9 @@ def test_simulate_config_keys_reach_their_settings(tmp_path, monkeypatch):
         ("# runs\n\nruns=abc\n", "sim.cfg:3: runs: cannot read 'abc'"),
         ("model=foo\n", "sim.cfg:1: model: 'foo' is not one of gaussian-shift, uniform-band"),
         ("p=80\nmethods=bh,xyz\n", "sim.cfg:2: methods: 'xyz' is not one of cdfdr, bh,"),
+        ("fdr_level=1.5\n", "sim.cfg:1: fdr_level must be in (0, 1)"),
+        ("p=80\n\nruns=0\n", "sim.cfg:3: runs must be >= 1"),
+        ("signals=5\np=3\n", "sim.cfg:2: m_signals must lie in [0, p]"),
     ],
 )
 def test_simulate_config_rejects_what_it_cannot_apply(tmp_path, capsys, text, message):
@@ -283,3 +288,27 @@ def test_simulate_config_rejects_what_it_cannot_apply(tmp_path, capsys, text, me
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_rank_at_extreme_signal_is_finite_and_silent(tmp_path):
+    # n * CR of the shifted column is about 2000; its z is about 41, where
+    # the theoretical weight exp(z^2/2 - zs^2/2) overflows a double.
+    rng = np.random.default_rng(8)
+    n, p = 2000, 40
+    y = np.arange(n) % 2
+    X = rng.normal(size=(n, p))
+    X[:, 0] += 8.0 * y
+    path = tmp_path / "strong.csv"
+    rows = [",".join([f"g{j}" for j in range(p)] + ["cls"])]
+    rows += [",".join([f"{v:.6f}" for v in X[i]] + [str(y[i])]) for i in range(n)]
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["rank", str(path), "--label", "cls", "--out", str(out)])
+    assert code == EXIT_OK
+    with open(out / "ranked.csv") as fh:
+        top = next(csv.DictReader(fh))
+    assert top["variable_id"] == "g0"
+    assert top["inverse_fdr"] == "1.7976931348623157e+308"
+    assert top["selected"] == "1"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdmine.comp_density import TwoSampleData, gof_norm, theta_hat
 from cdmine.cr import (
@@ -124,21 +126,36 @@ def make_result(cr, variable_id, category="mean"):
 class TestRankVariables:
     def test_stable_ties_preserve_input_order(self):
         results = [make_result(0.3, f"v{i}") for i in range(5)]
-        ranked = rank_variables(results)
-        assert [r.variable_id for r in ranked.ordered] == [f"v{i}" for i in range(5)]
+        ranked = rank_variables([r.cr for r in results])
+        np.testing.assert_array_equal(ranked.order, np.arange(5))
         np.testing.assert_array_equal(ranked.ranks, np.arange(1, 6))
 
     def test_dominant_variable_heads_its_category(self):
         results = [make_result(0.001, f"n{i}") for i in range(4)]
         results.append(make_result(0.9, "big", category="variance"))
-        ranked = rank_variables(results)
-        assert ranked.ordered[0].variable_id == "big"
-        assert ranked.ordered[0].category == "variance"
+        ranked = rank_variables([r.cr for r in results])
+        assert results[ranked.order[0]].variable_id == "big"
+        assert results[ranked.order[0]].category == "variance"
         np.testing.assert_array_equal(ranked.sorted_cr, np.sort(ranked.sorted_cr)[::-1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rank_variables([])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([0.0, 1e-300, 0.01, 0.25, 0.25 + 2**-54, 0.5, 1.0]), min_size=1, max_size=60
+    )
+)
+def test_rank_order_is_descending_cr_then_input_position(values):
+    cr = np.array(values)
+    ranked = rank_variables(cr)
+    want = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    assert ranked.order.tolist() == want
+    assert ranked.ranks[want].tolist() == list(range(1, len(values) + 1))
+    np.testing.assert_array_equal(ranked.sorted_cr, cr[want])
 
 
 def test_cr_invariances():

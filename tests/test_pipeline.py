@@ -13,6 +13,7 @@ from cdmine.pipeline import (
     curve_grid,
     export_plots,
     write_ranked_csv,
+    write_summary_json,
 )
 
 
@@ -46,9 +47,9 @@ def test_planted_location_column():
     X = rng.normal(size=(n, p))
     X[:, 7] += 2.0 * y
     report = analyze(make_dataset(X, y))
-    top = report.ranked.ordered[0]
-    assert top.variable_id == "v7"
-    assert top.category == "mean"
+    top = report.ranked.order[0]
+    assert report.names[top] == "v7"
+    assert report.categories[top] == "mean"
     assert "v7" in report.selected_names()
 
 
@@ -59,9 +60,9 @@ def test_planted_scale_column_u_shaped_density():
     X = rng.normal(size=(n, p))
     X[:, 3] *= 1.0 + 3.0 * y
     report = analyze(make_dataset(X, y))
-    top = report.ranked.ordered[0]
-    assert top.variable_id == "v3"
-    assert top.category == "variance"
+    top = report.ranked.order[0]
+    assert report.names[top] == "v3"
+    assert report.categories[top] == "variance"
     va = next(v for v in report.per_variable if v.name == "v3")
     u, dhat = curve_grid(va)
     d = lambda q: dhat[np.argmin(np.abs(u - q))]
@@ -94,13 +95,13 @@ def test_every_variable_reported_once_with_flags():
     X[:, 1] = np.nan  # all missing
     X[:, 2] = (np.arange(n) % 2).astype(float)  # binary: basis reduced to m=1
     report = analyze(make_dataset(X, y))
-    ids = [r.variable_id for r in report.ranked.ordered]
+    ids = [report.names[i] for i in report.ranked.order]
     assert sorted(ids) == sorted(f"v{j}" for j in range(22))
     flags = {va.name: va.cr.flag for va in report.per_variable}
     assert flags["v0"] == "constant"
     assert flags["v1"] == "all-missing"
     assert flags["v2"].startswith("reduced-m:")
-    assert next(r for r in report.ranked.ordered if r.variable_id == "v0").cr == 0.0
+    assert report.cr[report.names.index("v0")] == 0.0
 
 
 def test_fdr_skipped_below_minimum_panel():
@@ -188,3 +189,27 @@ def test_deterministic_output(tmp_path):
     write_ranked_csv(analyze(make_dataset(X, y)), a)
     write_ranked_csv(analyze(make_dataset(X, y)), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_rank_outputs_leave_per_variable_unbuilt(tmp_path):
+    rng = np.random.default_rng(110)
+    n, p = 120, 30
+    y = rng.integers(0, 2, n)
+    X = rng.normal(size=(n, p))
+    X[:, 4] += 2.5 * y
+    X[:5, 6] = np.nan
+    report = analyze(make_dataset(X, y))
+    write_ranked_csv(report, tmp_path / "ranked.csv")
+    write_summary_json(report, tmp_path / "summary.json")
+    export_plots(report, tmp_path, top_k=3, svg=True)
+    assert report.selected_names()
+    assert "per_variable" not in vars(report)
+    # Built on demand, it agrees with the arrays the writers read.
+    for i, va in enumerate(report.per_variable):
+        assert va.name == report.names[i] and va.cr.variable_id == report.names[i]
+        np.testing.assert_array_equal(va.cr.components, report.panel.components[i])
+        assert va.cr.cr == report.cr[i] and va.cr.pvalue == report.pvalue[i]
+        assert va.cr.category == report.categories[i]
+        assert va.cr.flag == report.panel.flags[i]
+        assert va.cr.n_effective == report.panel.n_effective[i]
+    assert report.per_variable is report.per_variable
