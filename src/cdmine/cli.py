@@ -22,13 +22,14 @@ from .cdfdr import FdrConfig, NullMethod, cdfdr_pipeline, cr_to_z
 from .dataset import DEFAULT_MISSING_TOKENS, load_csv
 from .errors import CdmineError, ConfigError, LabelError, ParseError
 from .pipeline import (
+    NUMBER_FORMAT,
     analyze,
     analyze_variable,
     export_plots,
-    fmt,
     write_curves,
     write_ranked_csv,
     write_summary_json,
+    write_table,
 )
 from .simulate import (
     METHODS,
@@ -167,12 +168,13 @@ def cmd_cd(args) -> int:
     if unknown:
         raise ConfigError(f"unknown variables: {unknown}")
     os.makedirs(args.out, exist_ok=True)
-    for name in args.vars:
+    stems = set()
+    for name in dict.fromkeys(args.vars):
         va = analyze_variable(by_name[name], dataset.labels, args.M)
         if va.cd is None:
             print(f"{name}: skipped ({va.cr.flag})")
             continue
-        write_curves(va, args.out)
+        write_curves(va, args.out, stems)
         print(f"{name}: wrote cd/pp curves")
     return EXIT_OK
 
@@ -213,13 +215,13 @@ def cmd_fdr(args) -> int:
         weight_mode=args.weight_mode,
     )
     result = cdfdr_pipeline(z, cfg)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("item_id,z,u_flat,inverse_fdr,selected\n")
-        for i, item in enumerate(ids):
-            fh.write(
-                f"{item},{fmt(result.z[i])},{fmt(result.u_flat[i])},"
-                f"{fmt(result.inverse_fdr[i])},{int(result.selected[i])}\n"
-            )
+    write_table(
+        args.out,
+        ["item_id", "z", "u_flat", "inverse_fdr", "selected"],
+        [ids, result.z.tolist(), result.u_flat.tolist(),
+         result.inverse_fdr.tolist(), result.selected.tolist()],
+        ["%s"] + [NUMBER_FORMAT] * 3 + ["%d"],
+    )
     print(f"selected {int(result.selected.sum())} of {len(ids)} items")
     return EXIT_OK
 

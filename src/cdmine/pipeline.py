@@ -32,27 +32,19 @@ CURVE_GRID_SIZE = 512
 MIN_FDR_ITEMS = 20
 # Lossless decimal serialization for report numbers, as a %-format.
 NUMBER_FORMAT = "%.17g"
-
-
-def fmt(x) -> str:
-    """A report number in NUMBER_FORMAT."""
-    return NUMBER_FORMAT % float(x)
+# Characters that make csv.QUOTE_MINIMAL quote a cell.
+_NEEDS_QUOTE = re.compile('[,"\r\n]')
 
 
 @dataclass(frozen=True)
 class VariableAnalysis:
-    """One variable's CR result.
-
-    ``analyze`` leaves basis and cd out; ``with_density`` rebuilds them
-    from the column and labels kept here.
-    """
+    """One variable's CR result; basis and cd come only from
+    ``analyze_variable``, and only for a variable it could analyze."""
 
     name: str
     cr: CrResult
     basis: ScoreBasis | None = None
     cd: CdEstimate | None = None
-    column: VariableColumn | None = None
-    labels: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -88,12 +80,7 @@ class AnalysisReport:
             variable_id=name,
             flag=self.panel.flags[i],
         )
-        return VariableAnalysis(
-            name=name,
-            cr=cr,
-            column=self.dataset.variables[i],
-            labels=np.asarray(self.dataset.labels),
-        )
+        return VariableAnalysis(name=name, cr=cr)
 
     @cached_property
     def per_variable(self) -> list:
@@ -134,7 +121,7 @@ def analyze_variable(
             variable_id=name,
             flag=reason,
         )
-        return VariableAnalysis(name=name, cr=cr, column=col, labels=labels)
+        return VariableAnalysis(name=name, cr=cr)
 
     try:
         mid = mid_rank_transform(col)
@@ -156,21 +143,8 @@ def analyze_variable(
         comps[: basis.m] = cr.components
         cr = replace(cr, components=comps, flag=f"reduced-m:{basis.m}")
     return VariableAnalysis(
-        name=name,
-        cr=cr,
-        basis=basis,
-        cd=cd_estimate(data, basis),
-        column=col,
-        labels=labels,
+        name=name, cr=cr, basis=basis, cd=cd_estimate(data, basis)
     )
-
-
-def with_density(va: VariableAnalysis) -> VariableAnalysis:
-    """``va`` with its basis and density estimate, rebuilt through
-    ``analyze_variable`` when ``analyze`` left them out."""
-    if va.cd is not None or va.column is None:
-        return va
-    return analyze_variable(va.column, va.labels, len(va.cr.components))
 
 
 def analyze(
@@ -213,14 +187,41 @@ def analyze(
     )
 
 
-def curve_grid(va: VariableAnalysis, size: int = CURVE_GRID_SIZE):
-    """(u, dhat) on an open-interval grid for one analyzed variable."""
-    va = with_density(va)
+def curve_grid(va: VariableAnalysis):
+    """(u, dhat) on an open-interval grid for a variable that
+    ``analyze_variable`` gave a density estimate."""
     if va.cd is None or va.basis is None:
         raise DegenerateVariable(f"variable {va.name!r} has no density estimate")
-    u = (np.arange(size) + 0.5) / size
+    u = (np.arange(CURVE_GRID_SIZE) + 0.5) / CURVE_GRID_SIZE
     dhat = estimate_cd(va.cd.theta, va.basis)(u)
     return u, dhat
+
+
+def write_table(path, header, columns, fields):
+    """Write a CSV: the header, then one row per position of the equal-length
+    ``columns``, formatted by the %-templates ``fields`` joined with commas.
+
+    String cells of ``columns`` are quoted the way ``csv.QUOTE_MINIMAL``
+    does; the header is written as given.
+    """
+    row = ",".join(fields) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(row.__mod__, zip(*map(_quoted, columns))))
+
+
+def _quoted(cells):
+    """``cells``, with each string that holds a comma, quote, CR or LF quoted."""
+    if not (cells and isinstance(cells[0], str) and _NEEDS_QUOTE.search("".join(cells))):
+        return cells
+    return ['"%s"' % c.replace('"', '""') if _NEEDS_QUOTE.search(c) else c for c in cells]
+
+
+def write_json(path, payload):
+    """Write ``payload`` as indented JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_ranked_csv(report: AnalysisReport, path):
@@ -255,20 +256,7 @@ def write_ranked_csv(report: AnalysisReport, path):
         fields += [NUMBER_FORMAT, NUMBER_FORMAT, "%d"]
     else:
         fields += ["", "", "0"]
-    row = ",".join(fields) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(row.__mod__, zip(*columns)))
-
-
-def write_sorted_cr_csv(report: AnalysisReport, path):
-    ranked = report.ranked
-    names = [report.names[i] for i in ranked.order.tolist()]
-    rows = zip(range(1, len(names) + 1), names, ranked.sorted_cr.tolist())
-    row = "%d,%s," + NUMBER_FORMAT + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rank,variable_id,cr\n")
-        fh.writelines(map(row.__mod__, rows))
+    write_table(path, header, columns, fields)
 
 
 def write_summary_json(report: AnalysisReport, path):
@@ -292,9 +280,7 @@ def write_summary_json(report: AnalysisReport, path):
         }
     else:
         payload["fdr_skipped"] = f"fewer than {MIN_FDR_ITEMS} variables"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def export_plots(report: AnalysisReport, out_dir, top_k: int = 10, svg: bool = False):
@@ -306,58 +292,57 @@ def export_plots(report: AnalysisReport, out_dir, top_k: int = 10, svg: bool = F
     if top_k < 0:
         raise ConfigError("top_k must be >= 0")
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
+    ranked = report.ranked
+    rank = np.arange(1, ranked.order.size + 1)
     path = os.path.join(out_dir, "sorted_cr.csv")
-    write_sorted_cr_csv(report, path)
-    written.append(path)
+    write_table(
+        path,
+        ["rank", "variable_id", "cr"],
+        [rank.tolist(), [report.names[i] for i in ranked.order.tolist()],
+         ranked.sorted_cr.tolist()],
+        ["%d", "%s", NUMBER_FORMAT],
+    )
+    written = [path]
     if svg:
-        pts = list(enumerate(report.ranked.sorted_cr.tolist(), 1))
         path = os.path.join(out_dir, "sorted_cr.svg")
-        svgplot.polyline_svg(pts, path, xlabel="rank", ylabel="CR")
+        svgplot.polyline_svg(rank, ranked.sorted_cr, path, xlabel="rank", ylabel="CR")
         written.append(path)
 
+    dataset = report.dataset
+    stems = set()
     for i in report.selected_positions()[:top_k]:
-        va = with_density(report.variable(i))
+        va = analyze_variable(dataset.variables[i], dataset.labels, report.m)
         if va.cd is not None:
-            written += write_curves(va, out_dir, svg=svg)
+            written += write_curves(va, out_dir, stems, svg=svg)
     return written
 
 
-def write_curves(va: VariableAnalysis, out_dir, svg: bool = False):
+def write_curves(va: VariableAnalysis, out_dir, stems: set, svg: bool = False):
     """Write the density and PP curves of one variable that has a density
     estimate, under its sanitised name inside ``out_dir``.
 
-    Returns the list of file paths written.
+    ``stems`` holds the file stems already written in this export; a name
+    whose stem is taken gets the first free suffix ``_2``, ``_3``, ...  The
+    stem used is added to ``stems``.  Returns the list of file paths written.
     """
-    safe = _safe_name(va.name)
+    safe = stem = re.sub(r"[^A-Za-z0-9_.-]", "_", va.name)
+    k = 2
+    while stem in stems:
+        stem, k = f"{safe}_{k}", k + 1
+    stems.add(stem)
     u, dhat = curve_grid(va)
-    pp = va.cd.pp_points
+    h, f = va.cd.pp_points.T
+    # (file prefix, CSV header, SVG axis labels, x, y) of each curve
+    curves = (("cd", ["u", "dhat"], ("u", "dhat"), u, dhat),
+              ("pp", ["h", "f"], ("H", "F"), h, f))
     written = []
-    path = os.path.join(out_dir, f"cd_{safe}.csv")
-    _write_xy_csv(path, "u,dhat", u, dhat)
-    written.append(path)
-    path = os.path.join(out_dir, f"pp_{safe}.csv")
-    _write_xy_csv(path, "h,f", pp[:, 0], pp[:, 1])
-    written.append(path)
+    for kind, header, _, x, y in curves:
+        path = os.path.join(out_dir, f"{kind}_{stem}.csv")
+        write_table(path, header, [x.tolist(), y.tolist()], [NUMBER_FORMAT] * 2)
+        written.append(path)
     if svg:
-        path = os.path.join(out_dir, f"cd_{safe}.svg")
-        svgplot.polyline_svg(list(zip(u, dhat)), path, xlabel="u", ylabel="dhat")
-        written.append(path)
-        path = os.path.join(out_dir, f"pp_{safe}.svg")
-        svgplot.polyline_svg(
-            [tuple(p) for p in pp], path, xlabel="H", ylabel="F"
-        )
-        written.append(path)
+        for kind, _, (xlabel, ylabel), x, y in curves:
+            path = os.path.join(out_dir, f"{kind}_{stem}.svg")
+            svgplot.polyline_svg(x, y, path, xlabel=xlabel, ylabel=ylabel)
+            written.append(path)
     return written
-
-
-def _write_xy_csv(path, header: str, x, y):
-    row = f"{NUMBER_FORMAT},{NUMBER_FORMAT}\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(map(row.__mod__, zip(x.tolist(), y.tolist())))
-
-
-def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]", "_", name)

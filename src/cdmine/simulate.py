@@ -7,13 +7,13 @@ from one seed so results are bit-identical regardless of execution order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cdfdr import FdrConfig, cdfdr_pipeline, norm_pdf, norm_sf
 from .errors import ConfigError
+from .pipeline import write_json, write_table
 
 METHODS = ("cdfdr", "bh", "naive-two-step")
 SIGNAL_MODELS = ("gaussian-shift", "uniform-band")
@@ -130,11 +130,12 @@ def _summarize(counts: np.ndarray, truth: int) -> dict:
 
 
 def write_report_csv(report: SimReport, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("run,method,selected\n")
-        for method, counts in report.counts.items():
-            for r, c in enumerate(counts):
-                fh.write(f"{r},{method},{c}\n")
+    rows = [
+        (r, method, c)
+        for method, counts in report.counts.items()
+        for r, c in enumerate(counts.tolist())
+    ]
+    write_table(path, ["run", "method", "selected"], list(zip(*rows)), ["%d", "%s", "%d"])
 
 
 def write_report_json(report: SimReport, path):
@@ -146,6 +147,4 @@ def write_report_json(report: SimReport, path):
         "seed": report.config.seed,
         "summary": report.summary,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

@@ -2,29 +2,25 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 WIDTH, HEIGHT = 480, 320
 MARGIN = 40
 
 
-def polyline_svg(points, path, xlabel: str = "x", ylabel: str = "y"):
-    """Write points as a single polyline with labeled axes."""
-    points = [(float(x), float(y)) for x, y in points]
-    if not points:
+def polyline_svg(x, y, path, xlabel: str = "x", ylabel: str = "y"):
+    """Write the points (x[i], y[i]) as a single polyline with labeled axes."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size == 0:
         raise ValueError("no points to plot")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_lo, y_hi = float(y.min()), float(y.max())
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
-
-    def sx(x):
-        return MARGIN + (x - x_lo) / x_span * (WIDTH - 2 * MARGIN)
-
-    def sy(y):
-        return HEIGHT - MARGIN - (y - y_lo) / y_span * (HEIGHT - 2 * MARGIN)
-
-    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
+    sx = MARGIN + (x - x_lo) / x_span * (WIDTH - 2 * MARGIN)
+    sy = HEIGHT - MARGIN - (y - y_lo) / y_span * (HEIGHT - 2 * MARGIN)
+    pts = " ".join(map("%.2f,%.2f".__mod__, zip(sx.tolist(), sy.tolist())))
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
         f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '

@@ -20,6 +20,7 @@ from cdmine.cdfdr import (
     preflatten,
     select,
 )
+from cdmine.cr import null_pvalue
 from cdmine.errors import ConfigError, NonFinite, TooFewItems, ZeroSpread
 
 
@@ -180,6 +181,11 @@ def test_cr_to_z_finite_and_increasing_at_any_strength(m):
     z = cr_to_z(cr, n=n, m=m)
     assert np.all(np.isfinite(z))
     assert np.all(np.diff(z) > 0)
+    # The p-value itself underflows to 0 past n * CR of about 1425-1458,
+    # which is why z, not the p-value, orders the extreme rows.
+    p = null_pvalue(cr, n, m)
+    assert np.all(np.isfinite(p))
+    assert np.all(np.diff(p) <= 0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -312,3 +312,54 @@ def test_rank_at_extreme_signal_is_finite_and_silent(tmp_path):
     assert top["variable_id"] == "g0"
     assert top["inverse_fdr"] == "1.7976931348623157e+308"
     assert top["selected"] == "1"
+
+
+def write_named_panel(path, names, shifted, n=80, seed=9):
+    """A CSV panel with the given column names (written with csv quoting) and
+    a class shift on the columns at the positions in ``shifted``."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % 2
+    X = rng.normal(size=(n, len(names)))
+    X[:, shifted] += 2.5 * y[:, None]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(names) + ["cls"])
+        writer.writerows([f"{v:.6f}" for v in X[i]] + [str(y[i])] for i in range(n))
+
+
+def test_names_needing_quotes_round_trip_through_rank_and_fdr(tmp_path):
+    odd = ['gene "a,b"', "two\nlines"]
+    names = odd + [f"g{j}" for j in range(22)]
+    path = tmp_path / "odd.csv"
+    write_named_panel(path, names, shifted=[0, 1])
+    out = tmp_path / "o"
+    assert main(["rank", str(path), "--label", "cls", "--out", str(out)]) == EXIT_OK
+    for table, column in (("ranked.csv", 0), ("sorted_cr.csv", 1)):
+        with open(out / table, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert all(len(row) == len(header) for row in rows)
+        assert sorted(row[column] for row in rows) == sorted(names)
+    assert main(["fdr", str(out / "ranked.csv"), "--col", "z",
+                 "--out", str(tmp_path / "fdr.csv")]) == EXIT_OK
+    with open(tmp_path / "fdr.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert all(len(row) == len(header) for row in rows)
+    assert set(odd) <= {row[0] for row in rows}
+
+
+def test_cd_names_that_sanitise_alike_keep_their_own_files(tmp_path, capsys):
+    names = ["a b", "a_b"] + [f"g{j}" for j in range(3)]
+    path = tmp_path / "alike.csv"
+    write_named_panel(path, names, shifted=[0])
+    out = tmp_path / "cd"
+    code = main(["cd", str(path), "--label", "cls", "--vars", "a b", "a_b", "a b",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.count("wrote") == 2
+    assert sorted(os.listdir(out)) == ["cd_a_b.csv", "cd_a_b_2.csv", "pp_a_b.csv",
+                                       "pp_a_b_2.csv"]
+    dataset = cli.load_csv(str(path), label_column="cls")
+    for col, stem in zip(dataset.variables, ["a_b", "a_b_2"]):
+        va = cli.analyze_variable(col, dataset.labels, 4)
+        got = np.loadtxt(out / f"pp_{stem}.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(got, va.cd.pp_points)

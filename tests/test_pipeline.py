@@ -63,8 +63,8 @@ def test_planted_scale_column_u_shaped_density():
     top = report.ranked.order[0]
     assert report.names[top] == "v3"
     assert report.categories[top] == "variance"
-    va = next(v for v in report.per_variable if v.name == "v3")
-    u, dhat = curve_grid(va)
+    ds = report.dataset
+    u, dhat = curve_grid(analyze_variable(ds.variables[top], ds.labels, report.m))
     d = lambda q: dhat[np.argmin(np.abs(u - q))]
     assert d(0.05) > d(0.5) and d(0.95) > d(0.5)
 
@@ -136,9 +136,10 @@ def test_export_top_k_files_and_roundtrip(tmp_path):
     assert sum(b.startswith("pp_") and b.endswith(".csv") for b in names) == 2
     assert sum(b.endswith(".svg") for b in names) == 2 * 2 + 1
 
-    top_name = report.selected_names()[0]
-    va = next(v for v in report.per_variable if v.name == top_name)
-    u, dhat = curve_grid(va)
+    top = report.selected_positions()[0]
+    top_name = report.names[top]
+    ds = report.dataset
+    u, dhat = curve_grid(analyze_variable(ds.variables[top], ds.labels, report.m))
     with open(tmp_path / f"cd_{top_name}.csv") as fh:
         rows = list(csv.DictReader(fh))
     got = np.array([[float(r["u"]), float(r["dhat"])] for r in rows])
@@ -213,3 +214,25 @@ def test_rank_outputs_leave_per_variable_unbuilt(tmp_path):
         assert va.cr.flag == report.panel.flags[i]
         assert va.cr.n_effective == report.panel.n_effective[i]
     assert report.per_variable is report.per_variable
+
+
+def test_export_names_that_sanitise_alike_keep_their_own_files(tmp_path):
+    rng = np.random.default_rng(111)
+    n, p = 200, 30
+    y = rng.integers(0, 2, n)
+    X = rng.normal(size=(n, p))
+    X[:, 0] += 2.5 * y
+    X[:, 1] += 2.0 * y
+    names = ["a b", "a_b"] + [f"v{j}" for j in range(2, p)]
+    report = analyze(make_dataset(X, y, names))
+    assert {"a b", "a_b"} <= set(report.selected_names())
+    written = export_plots(report, tmp_path, top_k=2)
+    assert sorted(os.path.basename(w) for w in written) == [
+        "cd_a_b.csv", "cd_a_b_2.csv", "pp_a_b.csv", "pp_a_b_2.csv", "sorted_cr.csv"
+    ]
+    first, second = report.selected_positions()[:2]
+    ds = report.dataset
+    for i, stem in ((first, "a_b"), (second, "a_b_2")):
+        va = analyze_variable(ds.variables[i], ds.labels, report.m)
+        got = np.loadtxt(tmp_path / f"pp_{stem}.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(got, va.cd.pp_points)
