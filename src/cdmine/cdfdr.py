@@ -5,6 +5,9 @@ the flattened values is fit by a short shifted-Legendre series, and the
 inverse fdr f/f0 is recovered as (estimated-null / theoretical-null density
 ratio) x (residual density).  Items with inverse fdr >= 1/level are selected;
 the conventional level 0.2 corresponds to the threshold 5.
+
+Every stage works along the last axis of z: a (runs, p) matrix is that many
+independent selections, and each row gets the bits a 1-D call on it gets.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from scipy.special import eval_legendre, log_ndtr, ndtr, ndtri_exp
 
 from .errors import ConfigError, NonFinite, TooFewItems, ZeroSpread
 
+# Fewest scores a null and a residual series are estimated from.
+MIN_FDR_ITEMS = 20
 U_EPS = 1e-12
 DENSITY_FLOOR = 0.01
 # p-values above 1 - 1e-16 are clipped there, so a flagged or null item
@@ -37,8 +42,11 @@ class NullMethod(str, Enum):
 
 @dataclass(frozen=True)
 class EmpiricalNull:
-    mu0: float
-    sigma0: float
+    """Null location and scale: floats for 1-D scores, arrays over the
+    leading axes of a batch."""
+
+    mu0: float | np.ndarray
+    sigma0: float | np.ndarray
     method: NullMethod
 
 
@@ -47,7 +55,8 @@ class ResidualDensity:
     """Shifted-Legendre series for the density of the flattened scores.
 
     Coefficients with theta_k^2 <= 2/p are zeroed (kept mask records the
-    survivors); the evaluator is floored at DENSITY_FLOOR.
+    survivors); the evaluator is floored at DENSITY_FLOOR.  ``coeffs`` and
+    ``kept`` have the series index last, after any batch axes.
     """
 
     coeffs: np.ndarray
@@ -55,14 +64,13 @@ class ResidualDensity:
     n_items: int
 
     def __call__(self, u):
+        """The floored series 1 + sum_k coeffs[..., k] P_{k+1}(u).  A zeroed
+        coefficient adds exactly 0, so a term no row keeps is skipped."""
         u = np.asarray(u, dtype=float)
-        return self._series(lambda k: _legendre01(k, u), u.shape)
-
-    def _series(self, term, shape):
-        """The floored series, with term(k) the k-th Legendre term (k >= 1)."""
-        d = np.ones(shape)
-        for k in np.flatnonzero(self.kept):
-            d = d + self.coeffs[k] * term(k + 1)
+        d = np.ones(u.shape)
+        n_coeffs = self.kept.shape[-1]
+        for k in np.flatnonzero(self.kept.reshape(-1, n_coeffs).any(axis=0)):
+            _add_term(d, self.coeffs[..., k], _legendre01(k + 1, u))
         return np.maximum(d, DENSITY_FLOOR)
 
 
@@ -87,20 +95,24 @@ class FdrResult:
 
 
 def estimate_null(z, method: NullMethod = NullMethod.POOLED_MOMENTS) -> EmpiricalNull:
+    """The empirical null of each row of z, reduced along its last axis."""
     z = np.asarray(z, dtype=float)
-    if z.size < 20:
-        raise TooFewItems(f"need at least 20 scores, got {z.size}")
+    p = z.shape[-1] if z.ndim else z.size
+    if p < MIN_FDR_ITEMS:
+        raise TooFewItems(f"need at least {MIN_FDR_ITEMS} scores, got {p}")
     if method == NullMethod.FIXED_THEORETICAL:
-        return EmpiricalNull(0.0, 1.0, method)
-    if method == NullMethod.POOLED_MOMENTS:
-        mu0, sigma0 = float(z.mean()), float(z.std(ddof=1))
+        mu0, sigma0 = np.zeros(z.shape[:-1]), np.ones(z.shape[:-1])
+    elif method == NullMethod.POOLED_MOMENTS:
+        mu0, sigma0 = z.mean(axis=-1), z.std(axis=-1, ddof=1)
     elif method == NullMethod.ROBUST_MEDIAN_MAD:
-        mu0 = float(np.median(z))
-        sigma0 = float(1.4826 * np.median(np.abs(z - mu0)))
+        mu0 = np.median(z, axis=-1)
+        sigma0 = 1.4826 * np.median(np.abs(z - _col(mu0)), axis=-1)
     else:
         raise ConfigError(f"unknown null method {method!r}")
-    if sigma0 <= 0.0:
+    if np.any(sigma0 <= 0.0):
         raise ZeroSpread("null scale estimate is zero")
+    if z.ndim == 1:
+        mu0, sigma0 = float(mu0), float(sigma0)
     return EmpiricalNull(mu0, sigma0, method)
 
 
@@ -126,7 +138,7 @@ def norm_logpdf(x):
 def preflatten(z, null: EmpiricalNull) -> np.ndarray:
     """Flatten scores through the estimated null cdf, clamped into (0, 1)."""
     z = np.asarray(z, dtype=float)
-    u = norm_cdf((z - null.mu0) / null.sigma0)
+    u = norm_cdf((z - _col(null.mu0)) / _col(null.sigma0))
     return np.clip(u, U_EPS, 1.0 - U_EPS)
 
 
@@ -136,16 +148,35 @@ def estimate_residual_density(u_flat, n_coeffs: int = 6) -> ResidualDensity:
 
 def _fit_residual(u_flat, n_coeffs: int):
     """(residual density, its values at u_flat) from one pass over the
-    Legendre terms at u_flat."""
+    Legendre terms at u_flat.
+
+    theta_k is a mean along the last axis, and whether it is kept depends on
+    term k alone, so each term is added to the series as soon as it is fit,
+    in the order ``ResidualDensity.__call__`` adds it, and then dropped.
+    """
     if n_coeffs < 1:
         raise ConfigError("need at least one series coefficient")
     u = np.asarray(u_flat, dtype=float)
-    p = u.size
-    terms = [_legendre01(k, u) for k in range(1, n_coeffs + 1)]
-    theta = np.array([t.mean() for t in terms])
-    kept = theta**2 > 2.0 / p
-    resid = ResidualDensity(coeffs=np.where(kept, theta, 0.0), kept=kept, n_items=p)
-    return resid, resid._series(lambda k: terms[k - 1], u.shape)
+    p = u.shape[-1]
+    coeffs = np.empty(u.shape[:-1] + (n_coeffs,))
+    kept = np.empty(coeffs.shape, dtype=bool)
+    d = np.ones(u.shape)
+    for k in range(n_coeffs):
+        term = _legendre01(k + 1, u)
+        theta = term.mean(axis=-1)
+        kept[..., k] = theta**2 > 2.0 / p
+        coeffs[..., k] = np.where(kept[..., k], theta, 0.0)
+        if kept[..., k].any():
+            _add_term(d, coeffs[..., k], term)
+    resid = ResidualDensity(coeffs=coeffs, kept=kept, n_items=p)
+    return resid, np.maximum(d, DENSITY_FLOOR)
+
+
+def _add_term(d, coeff, term):
+    """d += coeff * term in place, with one coefficient per row; term is
+    overwritten."""
+    term *= _col(coeff)
+    d += term
 
 
 def inverse_fdr_curve(
@@ -173,8 +204,9 @@ def _inverse_fdr(z, null: EmpiricalNull, d, weight_mode: str):
         return d
     if weight_mode != "theoretical":
         raise ConfigError(f"unknown weight mode {weight_mode!r}")
-    zs = (z - null.mu0) / null.sigma0
-    log_w = norm_logpdf(zs) - np.log(null.sigma0) - norm_logpdf(z)
+    sigma0 = _col(null.sigma0)
+    zs = (z - _col(null.mu0)) / sigma0
+    log_w = norm_logpdf(zs) - np.log(sigma0) - norm_logpdf(z)
     with np.errstate(over="ignore"):
         return np.minimum(np.exp(log_w) * d, INVERSE_FDR_MAX)
 
@@ -243,7 +275,11 @@ def _chi2_logsf_int(x, df: int):
 
 
 def cdfdr_pipeline(z, config: FdrConfig = FdrConfig()) -> FdrResult:
-    """CDfdr selection on z-scores; CR values go through ``cr_to_z`` first."""
+    """CDfdr selection on z-scores; CR values go through ``cr_to_z`` first.
+
+    Each row of a 2-D z is selected on its own; a non-finite cell or a
+    zero-spread row anywhere fails the whole call.
+    """
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise NonFinite("z-scores must be finite")
@@ -264,6 +300,12 @@ def cdfdr_pipeline(z, config: FdrConfig = FdrConfig()) -> FdrResult:
         selected=sel,
         threshold=1.0 / config.fdr_level,
     )
+
+
+def _col(x):
+    """A per-row value of a batch as a column that broadcasts along the last
+    axis; a scalar stays as it is."""
+    return x[..., None] if np.ndim(x) else x
 
 
 def _legendre01(k: int, u):

@@ -174,8 +174,8 @@ def cmd_cd(args) -> int:
         if va.cd is None:
             print(f"{name}: skipped ({va.cr.flag})")
             continue
-        write_curves(va, args.out, stems)
-        print(f"{name}: wrote cd/pp curves")
+        written = write_curves(va, args.out, stems)
+        print(f"{name}: wrote {', '.join(os.path.basename(p) for p in written)}")
     return EXIT_OK
 
 

@@ -12,7 +12,14 @@ from functools import cached_property
 import numpy as np
 
 from . import svgplot
-from .cdfdr import FdrConfig, FdrResult, NullMethod, cdfdr_pipeline, cr_to_z
+from .cdfdr import (
+    MIN_FDR_ITEMS,
+    FdrConfig,
+    FdrResult,
+    NullMethod,
+    cdfdr_pipeline,
+    cr_to_z,
+)
 from .comp_density import CdEstimate, TwoSampleData, cd_estimate, estimate_cd
 from .cr import (
     CrResult,
@@ -29,7 +36,6 @@ from .panel import PanelCr, panel_cr
 from .score_basis import ScoreBasis, feasible_score_basis
 
 CURVE_GRID_SIZE = 512
-MIN_FDR_ITEMS = 20
 # Lossless decimal serialization for report numbers, as a %-format.
 NUMBER_FORMAT = "%.17g"
 # Characters that make csv.QUOTE_MINIMAL quote a cell.

@@ -3,6 +3,11 @@
 Signal scores are drawn once per experiment; each run regenerates the null
 items with fresh standard-normal noise.  Per-run RNG streams are spawned
 from one seed so results are bit-identical regardless of execution order.
+
+An experiment is one (runs, p) matrix of z-scores, one row per run, and each
+method thresholds every row in one call along the last axis.  Runs go in
+chunks of at most about CHUNK_ITEMS scores, so a large p never holds every
+run at once.
 """
 
 from __future__ import annotations
@@ -11,12 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdfdr import FdrConfig, cdfdr_pipeline, norm_pdf, norm_sf
+from .cdfdr import MIN_FDR_ITEMS, FdrConfig, cdfdr_pipeline, norm_pdf, norm_sf
 from .errors import ConfigError
 from .pipeline import write_json, write_table
 
 METHODS = ("cdfdr", "bh", "naive-two-step")
 SIGNAL_MODELS = ("gaussian-shift", "uniform-band")
+# Most z-scores one chunk of runs holds (one row of p scores at the least).
+# Each working array of a chunk is then about 128 KB, so an experiment's peak
+# memory does not grow with its runs.
+CHUNK_ITEMS = 2**14
 
 
 @dataclass(frozen=True)
@@ -42,6 +51,10 @@ class SimConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ConfigError(f"unknown methods {sorted(unknown)}")
+        if "cdfdr" in self.methods and self.p < MIN_FDR_ITEMS:
+            raise ConfigError(
+                f"p must be >= {MIN_FDR_ITEMS} for the cdfdr method", ("p", "methods")
+            )
         if not 0.0 < self.fdr_level < 1.0:
             raise ConfigError("fdr_level must be in (0, 1)", ("fdr_level",))
 
@@ -60,39 +73,56 @@ def draw_signals(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def bh_baseline(z, level: float = 0.2) -> np.ndarray:
-    """Benjamini-Hochberg step-up on two-sided normal p-values."""
+    """Benjamini-Hochberg step-up on two-sided normal p-values, per row of z.
+
+    A row passes every p-value up to the largest sorted one under its
+    step-up line.  That set is closed under ties, so a plain sort and one
+    cut per row give the mask a stable ordering would.
+    """
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be in (0, 1)")
     z = np.asarray(z, dtype=float)
     p = 2.0 * norm_sf(np.abs(z))
-    n = p.size
-    order = np.argsort(p, kind="stable")
+    n = p.shape[-1]
+    ordered = np.sort(p, axis=-1)
     thresh = level * (np.arange(1, n + 1) / n)
-    passing = np.flatnonzero(p[order] <= thresh)
-    mask = np.zeros(n, dtype=bool)
-    if passing.size:
-        mask[order[: passing[-1] + 1]] = True
-    return mask
+    # p >= 0, so -1 passes nothing in a row where no p-value is under the line.
+    cut = np.where(ordered <= thresh, ordered, -1.0).max(axis=-1, initial=-1.0)
+    return p <= cut[..., None]
 
 
 def naive_two_step_baseline(z, level: float = 0.2, bins: int = 40) -> np.ndarray:
-    """Histogram estimate of f, then fdr = f0/f per item.
+    """Histogram estimate of f, then fdr = f0/f per item, per row of z.
 
     The two-step straw man: estimate the pooled density on equal bins over
     the data range, floor empty bins, and threshold f0(z)/f_hat(z) at the
-    given level with f0 standard normal.
+    given level with f0 standard normal.  A row with zero span selects
+    nothing.  Bins and densities are those of ``np.histogram(row, bins,
+    range=(min, max), density=True)``: its uniform-bin index formula with the
+    same one-step correction against the same ``np.linspace`` edges.
     """
-    z = np.asarray(z, dtype=float)
-    lo, hi = z.min(), z.max()
-    span = hi - lo
-    if span <= 0.0:
-        return np.zeros(z.size, dtype=bool)
-    dens, edges = np.histogram(z, bins=bins, range=(lo, hi), density=True)
-    floor = 1.0 / (z.size * span)
-    dens = np.maximum(dens, floor)
-    idx = np.clip(np.searchsorted(edges, z, side="right") - 1, 0, bins - 1)
-    fdr_hat = norm_pdf(z) / dens[idx]
-    return fdr_hat <= level
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=float).reshape(-1, shape[-1])
+    lo, hi = z.min(axis=-1), z.max(axis=-1)
+    flat = hi - lo <= 0.0
+    if flat.any():
+        # A zero step in any row would change linspace's formula for every
+        # row, so a zero-span row is binned as zeros over (0, 1) instead.
+        z = np.where(flat[:, None], 0.0, z)
+        lo, hi = np.where(flat, 0.0, lo), np.where(flat, 1.0, hi)
+    span = (hi - lo)[:, None]
+    edges = np.linspace(lo, hi, bins + 1, axis=-1)
+    idx = ((z - lo[:, None]) / span * bins).astype(np.intp)
+    idx[idx == bins] -= 1
+    idx[z < np.take_along_axis(edges, idx, axis=-1)] -= 1
+    idx[(z >= np.take_along_axis(edges, idx + 1, axis=-1)) & (idx != bins - 1)] += 1
+    rows = len(z)
+    counts = np.bincount((idx + bins * np.arange(rows)[:, None]).ravel(),
+                         minlength=rows * bins).reshape(rows, bins)
+    dens = counts / np.diff(edges, axis=-1) / counts.sum(axis=-1, keepdims=True)
+    dens = np.maximum(dens, 1.0 / (z.shape[-1] * span))
+    fdr_hat = norm_pdf(z) / np.take_along_axis(dens, idx, axis=-1)
+    return ((fdr_hat <= level) & ~flat[:, None]).reshape(shape)
 
 
 def run_experiment(cfg: SimConfig) -> SimReport:
@@ -102,10 +132,13 @@ def run_experiment(cfg: SimConfig) -> SimReport:
     signals = draw_signals(cfg, np.random.default_rng(children[0]))
     counts = {m: np.empty(cfg.runs, dtype=int) for m in cfg.methods}
     fdr_config = FdrConfig(fdr_level=cfg.fdr_level)
-    for r in range(cfg.runs):
-        rng = np.random.default_rng(children[r + 1])
-        noise = rng.standard_normal(cfg.p - cfg.m_signals)
-        z = np.concatenate([signals, noise])
+    chunk = max(1, CHUNK_ITEMS // cfg.p)
+    for start in range(0, cfg.runs, chunk):
+        streams = children[start + 1 : start + 1 + chunk]
+        z = np.empty((len(streams), cfg.p))
+        z[:, : cfg.m_signals] = signals
+        for row, child in zip(z, streams):
+            np.random.default_rng(child).standard_normal(out=row[cfg.m_signals :])
         for method in cfg.methods:
             if method == "cdfdr":
                 sel = cdfdr_pipeline(z, fdr_config).selected
@@ -113,7 +146,7 @@ def run_experiment(cfg: SimConfig) -> SimReport:
                 sel = bh_baseline(z, cfg.fdr_level)
             else:
                 sel = naive_two_step_baseline(z, cfg.fdr_level)
-            counts[method][r] = int(sel.sum())
+            counts[method][start : start + len(z)] = sel.sum(axis=-1)
     summary = {m: _summarize(c, cfg.m_signals) for m, c in counts.items()}
     return SimReport(config=cfg, counts=counts, summary=summary)
 

@@ -279,6 +279,9 @@ def test_simulate_config_keys_reach_their_settings(tmp_path, monkeypatch):
         ("fdr_level=1.5\n", "sim.cfg:1: fdr_level must be in (0, 1)"),
         ("p=80\n\nruns=0\n", "sim.cfg:3: runs must be >= 1"),
         ("signals=5\np=3\n", "sim.cfg:2: m_signals must lie in [0, p]"),
+        ("p=10\nsignals=2\n", "sim.cfg:1: p must be >= 20 for the cdfdr method"),
+        ("methods=bh,cdfdr\np=19\nsignals=0\n",
+         "sim.cfg:2: p must be >= 20 for the cdfdr method"),
     ],
 )
 def test_simulate_config_rejects_what_it_cannot_apply(tmp_path, capsys, text, message):
@@ -355,7 +358,10 @@ def test_cd_names_that_sanitise_alike_keep_their_own_files(tmp_path, capsys):
     code = main(["cd", str(path), "--label", "cls", "--vars", "a b", "a_b", "a b",
                  "--out", str(out)])
     assert code == EXIT_OK
-    assert capsys.readouterr().out.count("wrote") == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "a b: wrote cd_a_b.csv, pp_a_b.csv",
+        "a_b: wrote cd_a_b_2.csv, pp_a_b_2.csv",
+    ]
     assert sorted(os.listdir(out)) == ["cd_a_b.csv", "cd_a_b_2.csv", "pp_a_b.csv",
                                        "pp_a_b_2.csv"]
     dataset = cli.load_csv(str(path), label_column="cls")

@@ -3,12 +3,74 @@ import pytest
 
 from cdmine.errors import ConfigError
 from cdmine.simulate import (
+    CHUNK_ITEMS,
     SimConfig,
     bh_baseline,
     draw_signals,
     naive_two_step_baseline,
     run_experiment,
 )
+
+# Counts of the per-run loop that run_experiment replaced, one (config,
+# counts) pair per case; the 70-run and 5000-item cases span several chunks.
+PINNED_COUNTS = [
+    (
+        dict(m_signals=25, p=1000, runs=12, seed=11),
+        {
+            "cdfdr": "23 24 21 21 23 21 23 22 22 21 22 21",
+            "bh": "33 29 25 28 25 22 25 26 24 25 29 24",
+            "naive-two-step": "20 23 21 21 21 21 21 22 21 21 21 21",
+        },
+    ),
+    (
+        dict(m_signals=50, p=1000, runs=70, seed=12, signal_model="uniform-band"),
+        {
+            "cdfdr": (
+                "40 38 39 36 40 37 35 39 40 41 38 39 38 38 43 39 38 40 40 37 35 39 "
+                "41 39 37 40 41 40 41 36 38 39 35 34 41 39 38 36 42 37 38 36 35 37 "
+                "38 38 40 36 38 39 34 35 38 35 35 40 34 38 35 35 34 40 37 37 36 37 "
+                "34 37 36 39"
+            ),
+            "bh": (
+                "53 40 47 50 46 48 45 48 52 46 44 43 46 43 46 46 44 55 50 38 44 48 "
+                "50 46 54 53 53 47 52 43 46 50 47 46 50 46 38 38 55 46 48 39 43 40 "
+                "45 46 43 40 44 45 44 46 52 47 45 43 44 52 45 45 43 53 44 47 39 44 "
+                "38 40 45 53"
+            ),
+            "naive-two-step": (
+                "37 33 35 36 38 35 30 37 39 37 36 33 33 38 40 38 34 36 37 32 33 35 "
+                "37 35 38 36 38 37 38 32 36 36 36 33 40 42 36 34 40 37 37 35 30 32 "
+                "37 36 39 31 37 38 36 34 36 35 35 36 34 35 35 35 35 40 32 36 36 31 "
+                "35 34 31 41"
+            ),
+        },
+    ),
+    (
+        dict(m_signals=50, p=500, runs=12, seed=13, fdr_level=0.05),
+        {
+            "cdfdr": "47 46 46 47 46 46 46 46 47 47 46 46",
+            "bh": "51 49 48 49 49 51 52 49 52 50 48 53",
+            "naive-two-step": "44 45 44 44 45 44 44 45 45 45 44 45",
+        },
+    ),
+    (
+        dict(m_signals=40, p=800, runs=12, seed=15, signal_model="uniform-band",
+             fdr_level=0.05),
+        {
+            "cdfdr": "1 10 0 10 9 9 0 5 0 0 10 10",
+            "bh": "26 24 24 24 23 23 24 26 23 24 24 23",
+            "naive-two-step": "21 20 19 20 19 19 19 20 19 20 20 20",
+        },
+    ),
+    (
+        dict(m_signals=100, p=5000, runs=15, seed=14),
+        {
+            "cdfdr": "103 101 99 98 97 100 94 100 101 97 92 93 96 96 99",
+            "bh": "132 113 119 123 120 125 118 122 118 118 116 117 118 114 126",
+            "naive-two-step": "97 93 97 91 95 101 91 91 93 93 91 92 93 91 93",
+        },
+    ),
+]
 
 
 class TestBh:
@@ -69,6 +131,17 @@ class TestRunExperiment:
             assert strict[method] != loose[method]
             assert strict[method]["mean"] < loose[method]["mean"]
 
+    @pytest.mark.parametrize("config, counts", PINNED_COUNTS)
+    def test_counts_match_the_per_run_loop(self, config, counts):
+        cfg = SimConfig(**config)
+        report = run_experiment(cfg)
+        assert list(report.counts) == list(counts)
+        for method, pinned in counts.items():
+            assert report.counts[method].tolist() == [int(c) for c in pinned.split()]
+
+    def test_pinned_cases_span_several_chunks(self):
+        assert max(c["runs"] * c["p"] for c, _ in PINNED_COUNTS) > 2 * CHUNK_ITEMS
+
     def test_signals_fixed_across_runs(self):
         # with no noise items, every run sees the identical signal vector
         cfg = SimConfig(m_signals=100, p=100, runs=4, seed=5, methods=("bh",))
@@ -104,6 +177,14 @@ class TestRunExperiment:
             run_experiment(SimConfig(m_signals=5, signal_model="cauchy"))
         with pytest.raises(ConfigError):
             run_experiment(SimConfig(m_signals=5, methods=("magic",)))
+
+    def test_cdfdr_needs_the_fdr_minimum_of_items(self):
+        with pytest.raises(ConfigError, match="p must be >= 20") as info:
+            run_experiment(SimConfig(m_signals=2, p=10))
+        assert info.value.fields == ("p", "methods")
+        report = run_experiment(SimConfig(m_signals=2, p=10, runs=2,
+                                          methods=("bh", "naive-two-step")))
+        assert set(report.counts) == {"bh", "naive-two-step"}
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2])
     def test_fdr_level_outside_unit_interval(self, level):
