@@ -61,7 +61,6 @@ class ResidualDensity:
 
     coeffs: np.ndarray
     kept: np.ndarray
-    n_items: int
 
     def __call__(self, u):
         """The floored series 1 + sum_k coeffs[..., k] P_{k+1}(u).  A zeroed
@@ -74,13 +73,24 @@ class ResidualDensity:
         return np.maximum(d, DENSITY_FLOOR)
 
 
+def check_fdr_level(level):
+    """The level rule of every selection, CDfdr and baselines alike."""
+    if not 0.0 < level < 1.0:
+        raise ConfigError("fdr_level must be in (0, 1)", ("fdr_level",))
+
+
 @dataclass(frozen=True)
 class FdrConfig:
+    """The CDfdr settings; their defaults are the package's defaults."""
+
     fdr_level: float = 0.2
     null_method: NullMethod = NullMethod.POOLED_MOMENTS
     n_coeffs: int = 6
     sides: str = "two"  # "two", "left", "right"
     weight_mode: str = "theoretical"  # "theoretical" or "empirical"
+
+    def __post_init__(self):
+        check_fdr_level(self.fdr_level)
 
 
 @dataclass(frozen=True)
@@ -91,10 +101,9 @@ class FdrResult:
     residual: ResidualDensity
     inverse_fdr: np.ndarray
     selected: np.ndarray
-    threshold: float
 
 
-def estimate_null(z, method: NullMethod = NullMethod.POOLED_MOMENTS) -> EmpiricalNull:
+def estimate_null(z, method: NullMethod = FdrConfig.null_method) -> EmpiricalNull:
     """The empirical null of each row of z, reduced along its last axis."""
     z = np.asarray(z, dtype=float)
     p = z.shape[-1] if z.ndim else z.size
@@ -142,7 +151,7 @@ def preflatten(z, null: EmpiricalNull) -> np.ndarray:
     return np.clip(u, U_EPS, 1.0 - U_EPS)
 
 
-def estimate_residual_density(u_flat, n_coeffs: int = 6) -> ResidualDensity:
+def estimate_residual_density(u_flat, n_coeffs: int = FdrConfig.n_coeffs) -> ResidualDensity:
     return _fit_residual(u_flat, n_coeffs)[0]
 
 
@@ -168,8 +177,7 @@ def _fit_residual(u_flat, n_coeffs: int):
         coeffs[..., k] = np.where(kept[..., k], theta, 0.0)
         if kept[..., k].any():
             _add_term(d, coeffs[..., k], term)
-    resid = ResidualDensity(coeffs=coeffs, kept=kept, n_items=p)
-    return resid, np.maximum(d, DENSITY_FLOOR)
+    return ResidualDensity(coeffs=coeffs, kept=kept), np.maximum(d, DENSITY_FLOOR)
 
 
 def _add_term(d, coeff, term):
@@ -180,7 +188,7 @@ def _add_term(d, coeff, term):
 
 
 def inverse_fdr_curve(
-    z, null: EmpiricalNull, resid: ResidualDensity, weight_mode: str = "theoretical"
+    z, null: EmpiricalNull, resid: ResidualDensity, weight_mode: str = FdrConfig.weight_mode
 ) -> np.ndarray:
     """Per-item inverse fdr f/f0.
 
@@ -211,9 +219,10 @@ def _inverse_fdr(z, null: EmpiricalNull, d, weight_mode: str):
         return np.minimum(np.exp(log_w) * d, INVERSE_FDR_MAX)
 
 
-def select(inverse_fdr, u_flat, fdr_level: float = 0.2, sides: str = "two") -> np.ndarray:
-    if not 0.0 < fdr_level < 1.0:
-        raise ConfigError("fdr level must be in (0, 1)")
+def select(
+    inverse_fdr, u_flat, fdr_level: float = FdrConfig.fdr_level, sides: str = FdrConfig.sides
+) -> np.ndarray:
+    check_fdr_level(fdr_level)
     inverse_fdr = np.asarray(inverse_fdr, dtype=float)
     u_flat = np.asarray(u_flat, dtype=float)
     mask = inverse_fdr >= 1.0 / fdr_level
@@ -292,13 +301,7 @@ def cdfdr_pipeline(z, config: FdrConfig = FdrConfig()) -> FdrResult:
     inv = _inverse_fdr(z, null, d, config.weight_mode)
     sel = select(inv, u, config.fdr_level, config.sides)
     return FdrResult(
-        z=z,
-        u_flat=u,
-        null=null,
-        residual=resid,
-        inverse_fdr=inv,
-        selected=sel,
-        threshold=1.0 / config.fdr_level,
+        z=z, u_flat=u, null=null, residual=resid, inverse_fdr=inv, selected=sel
     )
 
 

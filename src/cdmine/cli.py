@@ -18,19 +18,22 @@ import sys
 
 import numpy as np
 
-from .cdfdr import FdrConfig, NullMethod, cdfdr_pipeline, cr_to_z
-from .dataset import DEFAULT_MISSING_TOKENS, load_csv
+from .cdfdr import FdrConfig, NullMethod, cdfdr_pipeline, check_fdr_level, cr_to_z
+from .dataset import DEFAULT_MISSING_TOKENS, load_csv, open_text
 from .errors import CdmineError, ConfigError, LabelError, ParseError
 from .pipeline import (
+    DEFAULT_TOP_K,
     NUMBER_FORMAT,
     analyze,
     analyze_variable,
+    check_top_k,
     export_plots,
     write_curves,
     write_ranked_csv,
     write_summary_json,
     write_table,
 )
+from .score_basis import DEFAULT_M, check_m
 from .simulate import (
     METHODS,
     SIGNAL_MODELS,
@@ -68,6 +71,8 @@ CONFIG_FIELDS = {"signals": "m_signals", "model": "signal_model"}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The four subcommands; each default comes from FdrConfig, SimConfig or a
+    module constant."""
     parser = argparse.ArgumentParser(prog="cdmine")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -81,56 +86,53 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="cell value treated as missing (repeatable; default NA, empty, ?)",
         )
-        p.add_argument("--M", type=int, default=4, help="number of score functions")
+        p.add_argument("--M", type=int, default=DEFAULT_M, help="number of score functions")
+        p.add_argument("--out", default="cdmine_out")
+
+    def add_fdr_args(p):
+        p.add_argument("--fdr-level", type=float, default=FdrConfig.fdr_level)
+        p.add_argument(
+            "--null-method",
+            choices=[m.value for m in NullMethod],
+            default=FdrConfig.null_method.value,
+        )
 
     p = sub.add_parser("rank", help="rank all variables and select by CDfdr")
     add_dataset_args(p)
-    p.add_argument("--fdr-level", type=float, default=0.2)
-    p.add_argument(
-        "--null-method",
-        choices=[m.value for m in NullMethod],
-        default=NullMethod.POOLED_MOMENTS.value,
-    )
-    p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--out", default="cdmine_out")
+    add_fdr_args(p)
+    p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
     p.add_argument("--svg", action="store_true", help="also write SVG renderings")
 
     p = sub.add_parser("cd", help="export density and PP curves for variables")
     add_dataset_args(p)
     p.add_argument("--vars", nargs="+", required=True, help="variable names")
-    p.add_argument("--out", default="cdmine_out")
 
     p = sub.add_parser("fdr", help="CDfdr selection on an external score column")
     p.add_argument("csv", help="input CSV with a header row")
     p.add_argument("--col", required=True, help="name of the score column")
     p.add_argument("--input-kind", choices=["z", "cr"], default="z")
     p.add_argument("--n", type=int, default=None, help="sample size behind CR values")
-    p.add_argument("--M", type=int, default=4)
-    p.add_argument("--fdr-level", type=float, default=0.2)
+    p.add_argument("--M", type=int, default=DEFAULT_M)
+    add_fdr_args(p)
+    p.add_argument("--L", type=int, default=FdrConfig.n_coeffs, help="residual series length")
+    p.add_argument("--sides", choices=["two", "left", "right"], default=FdrConfig.sides)
     p.add_argument(
-        "--null-method",
-        choices=[m.value for m in NullMethod],
-        default=NullMethod.POOLED_MOMENTS.value,
-    )
-    p.add_argument("--L", type=int, default=6, help="residual series length")
-    p.add_argument("--sides", choices=["two", "left", "right"], default="two")
-    p.add_argument(
-        "--weight-mode", choices=["theoretical", "empirical"], default="theoretical"
+        "--weight-mode", choices=["theoretical", "empirical"], default=FdrConfig.weight_mode
     )
     p.add_argument("--out", default="cdmine_fdr.csv")
 
     p = sub.add_parser("simulate", help="run a contamination experiment")
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--p", type=int, default=1000)
+    p.add_argument("--p", type=int, default=SimConfig.p)
     p.add_argument("--signals", type=int, default=25)
-    p.add_argument("--model", choices=SIGNAL_MODELS, default="gaussian-shift")
-    p.add_argument("--mu", type=float, default=4.52)
-    p.add_argument("--lo", type=float, default=2.0)
-    p.add_argument("--hi", type=float, default=4.0)
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--methods", nargs="+", default=list(METHODS), choices=METHODS)
-    p.add_argument("--fdr-level", type=float, default=0.2)
+    p.add_argument("--model", choices=SIGNAL_MODELS, default=SimConfig.signal_model)
+    p.add_argument("--mu", type=float, default=SimConfig.mu)
+    p.add_argument("--lo", type=float, default=SimConfig.lo)
+    p.add_argument("--hi", type=float, default=SimConfig.hi)
+    p.add_argument("--runs", type=int, default=SimConfig.runs)
+    p.add_argument("--seed", type=int, default=SimConfig.seed)
+    p.add_argument("--methods", nargs="+", default=list(SimConfig.methods), choices=METHODS)
+    p.add_argument("--fdr-level", type=float, default=SimConfig.fdr_level)
     p.add_argument("--out", default="cdmine_sim")
     return parser
 
@@ -146,6 +148,9 @@ def load_dataset(args):
 
 
 def cmd_rank(args) -> int:
+    check_m(args.M)
+    check_fdr_level(args.fdr_level)
+    check_top_k(args.top_k)
     dataset = load_dataset(args)
     report = analyze(
         dataset,
@@ -162,6 +167,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_cd(args) -> int:
+    check_m(args.M)
     dataset = load_dataset(args)
     by_name = {v.name: v for v in dataset.variables}
     unknown = [v for v in args.vars if v not in by_name]
@@ -180,9 +186,17 @@ def cmd_cd(args) -> int:
 
 
 def cmd_fdr(args) -> int:
-    if args.input_kind == "cr" and (args.n is None or args.n < 1 or args.M < 1):
-        raise ConfigError("--input-kind cr needs a sample size --n >= 1 and --M >= 1")
-    with open(args.csv, "r", encoding="utf-8", newline="") as fh:
+    check_m(args.M)
+    if args.input_kind == "cr" and (args.n is None or args.n < 1):
+        raise ConfigError("--input-kind cr needs a sample size --n >= 1")
+    cfg = FdrConfig(
+        fdr_level=args.fdr_level,
+        null_method=NullMethod(args.null_method),
+        n_coeffs=args.L,
+        sides=args.sides,
+        weight_mode=args.weight_mode,
+    )
+    with open_text(args.csv, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -193,27 +207,23 @@ def cmd_fdr(args) -> int:
         id_idx = 0 if idx != 0 else None
         ids, scores = [], []
         for i, row in enumerate(reader):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"row has {len(row)} fields, expected {len(header)}", row=i + 2
+                )
             try:
                 score = float(row[idx])
-            except (ValueError, IndexError):
+            except ValueError:
                 score = math.nan
             if not math.isfinite(score):
-                cell = row[idx] if idx < len(row) else ""
                 raise ParseError(
-                    f"score {cell!r} is not a finite number", row=i + 2, column=args.col
+                    f"score {row[idx]!r} is not a finite number", row=i + 2, column=args.col
                 )
             scores.append(score)
             ids.append(row[id_idx] if id_idx is not None else str(i))
     z = np.array(scores)
     if args.input_kind == "cr":
         z = cr_to_z(z, args.n, args.M)
-    cfg = FdrConfig(
-        fdr_level=args.fdr_level,
-        null_method=NullMethod(args.null_method),
-        n_coeffs=args.L,
-        sides=args.sides,
-        weight_mode=args.weight_mode,
-    )
     result = cdfdr_pipeline(z, cfg)
     write_table(
         args.out,
@@ -228,31 +238,36 @@ def cmd_fdr(args) -> int:
 
 def apply_config_file(args, path) -> dict:
     """Override ``args`` with the key=value lines of a config file; an
-    unknown key, a value that does not read as its type, or one outside its
-    flag's choices is a ConfigError naming path:line.
+    unknown key, a value that does not read as its type, one outside its
+    flag's choices, or a byte that is not UTF-8 is a ConfigError naming
+    path:line.
 
     Returns the line number of each key the file set.
     """
+    try:
+        with open_text(path) as fh:
+            text = fh.readlines()
+    except ParseError as exc:
+        raise ConfigError(f"{path}:{exc.row}: {exc.reason}") from None
     lines = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            where = f"{path}:{lineno}"
-            if not sep:
-                raise ConfigError(f"{where}: expected key=value")
-            if key not in CONFIG_KEYS:
-                known = ", ".join(CONFIG_KEYS)
-                raise ConfigError(f"{where}: unknown key {key!r} (known: {known})")
-            try:
-                setattr(args, key, CONFIG_KEYS[key](value))
-            except ValueError:
-                raise ConfigError(f"{where}: {key}: cannot read {value!r}") from None
-            except ConfigError as exc:
-                raise ConfigError(f"{where}: {key}: {exc}") from None
-            lines[key] = lineno
+    for lineno, line in enumerate(text, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        where = f"{path}:{lineno}"
+        if not sep:
+            raise ConfigError(f"{where}: expected key=value")
+        if key not in CONFIG_KEYS:
+            known = ", ".join(CONFIG_KEYS)
+            raise ConfigError(f"{where}: unknown key {key!r} (known: {known})")
+        try:
+            setattr(args, key, CONFIG_KEYS[key](value))
+        except ValueError:
+            raise ConfigError(f"{where}: {key}: cannot read {value!r}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {key}: {exc}") from None
+        lines[key] = lineno
     return lines
 
 

@@ -47,7 +47,6 @@ class CdEstimate:
     theta: np.ndarray
     basis: ScoreBasis
     pp_points: np.ndarray  # shape (r+1, 2), columns (H, F), starts at (0, 0)
-    gof_norm: float
 
 
 def theta_hat(data: TwoSampleData, basis: ScoreBasis) -> np.ndarray:
@@ -96,12 +95,8 @@ def gof_norm(theta: np.ndarray) -> float:
 
 
 def cd_estimate(data: TwoSampleData, basis: ScoreBasis) -> CdEstimate:
-    th = theta_hat(data, basis)
     return CdEstimate(
-        theta=th,
-        basis=basis,
-        pp_points=pp_plot_points(data),
-        gof_norm=gof_norm(th),
+        theta=theta_hat(data, basis), basis=basis, pp_points=pp_plot_points(data)
     )
 
 

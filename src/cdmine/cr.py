@@ -90,21 +90,9 @@ def cr_result(data: TwoSampleData, basis: ScoreBasis, variable_id: str = "") -> 
     )
 
 
-@dataclass(frozen=True)
-class RankedReport:
-    """A rank order: descending CR, ties kept in input order."""
-
-    order: np.ndarray  # input positions, in rank order
-    ranks: np.ndarray  # rank (1-based) per input position
-    sorted_cr: np.ndarray  # descending CR values, for the threshold plot
-
-
-def rank_variables(cr) -> RankedReport:
-    """Rank an array of CR values, one per variable in input order."""
+def rank_variables(cr) -> np.ndarray:
+    """Input positions in rank order: descending CR, ties in input order."""
     cr = np.asarray(cr, dtype=float)
     if cr.size == 0:
         raise ValueError("no results to rank")
-    order = np.argsort(-cr, kind="stable")
-    ranks = np.empty(cr.size, dtype=int)
-    ranks[order] = np.arange(1, cr.size + 1)
-    return RankedReport(order=order, ranks=ranks, sorted_cr=cr[order])
+    return np.argsort(-cr, kind="stable")

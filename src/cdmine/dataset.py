@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +14,29 @@ from .errors import LabelError, ParseError
 from .midrank import VariableColumn
 
 DEFAULT_MISSING_TOKENS = ("NA", "", "?")
+# Line ends as Python's universal newlines read them.
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """``path`` opened for reading as UTF-8.  A byte that does not decode,
+    met anywhere in the ``with`` block, is a ParseError whose row is the line
+    of the file that holds it."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = 1 + len(_LINE_END.findall(data, 0, exc.start))
+                raise ParseError(
+                    f"byte 0x{data[exc.start]:02x} is not valid UTF-8", row=line
+                ) from None
+            raise
 
 
 @dataclass(frozen=True)
@@ -44,7 +69,7 @@ def load_csv(
     column and then the lowest row.
     """
     missing = set(missing_tokens)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

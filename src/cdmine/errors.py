@@ -30,7 +30,8 @@ class EmptyClass(CdmineError):
 
 
 class TooFewItems(CdmineError):
-    """Not enough scores to estimate a null distribution."""
+    """No variables to analyze, or too few scores to estimate a null
+    distribution."""
 
 
 class ZeroSpread(CdmineError):
@@ -39,13 +40,14 @@ class ZeroSpread(CdmineError):
 
 class ParseError(CdmineError):
     """CSV cell could not be parsed; carries row/column location, which
-    also leads the message."""
+    also leads the message, and ``reason``, the message without it."""
 
     def __init__(self, message, row=None, column=None):
         where = [f"row {row}"] if row is not None else []
         if column is not None:
             where.append(f"column {column!r}")
         super().__init__(f"{', '.join(where)}: {message}" if where else message)
+        self.reason = message
         self.row = row
         self.column = column
 

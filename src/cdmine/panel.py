@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .midrank import MidRankVector
-from .score_basis import RESIDUAL_NORM_FLOOR, feasible_score_basis
+from .score_basis import RESIDUAL_NORM_FLOOR, check_m, feasible_score_basis
 
 BLOCK_COLUMNS = 512
 
@@ -57,6 +57,7 @@ def panel_cr(variables, labels, m: int) -> PanelCr:
     infinite value in a column with at least two non-missing entries raises
     NonFinite naming it.
     """
+    check_m(m)
     y = np.asarray(labels)
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be coded 0/1")

@@ -21,21 +21,16 @@ from .cdfdr import (
     cr_to_z,
 )
 from .comp_density import CdEstimate, TwoSampleData, cd_estimate, estimate_cd
-from .cr import (
-    CrResult,
-    RankedReport,
-    categorize_rows,
-    cr_result,
-    null_pvalue,
-    rank_variables,
-)
+from .cr import CrResult, categorize_rows, cr_result, null_pvalue, rank_variables
 from .dataset import Dataset
-from .errors import AllMissing, ConfigError, DegenerateVariable
+from .errors import AllMissing, ConfigError, DegenerateVariable, TooFewItems
 from .midrank import VariableColumn, mid_rank_transform
 from .panel import PanelCr, panel_cr
-from .score_basis import ScoreBasis, feasible_score_basis
+from .score_basis import DEFAULT_M, check_m, feasible_score_basis
 
 CURVE_GRID_SIZE = 512
+# Variables whose curves a report exports, the first selected in rank order.
+DEFAULT_TOP_K = 10
 # Lossless decimal serialization for report numbers, as a %-format.
 NUMBER_FORMAT = "%.17g"
 # Characters that make csv.QUOTE_MINIMAL quote a cell.
@@ -44,12 +39,11 @@ _NEEDS_QUOTE = re.compile('[,"\r\n]')
 
 @dataclass(frozen=True)
 class VariableAnalysis:
-    """One variable's CR result; basis and cd come only from
-    ``analyze_variable``, and only for a variable it could analyze."""
+    """One variable's CR result; cd, which holds the score basis, comes only
+    from ``analyze_variable``, and only for a variable it could analyze."""
 
     name: str
     cr: CrResult
-    basis: ScoreBasis | None = None
     cd: CdEstimate | None = None
 
 
@@ -57,8 +51,8 @@ class VariableAnalysis:
 class AnalysisReport:
     """A panel's CR results as arrays in input order, and its CDfdr stage.
 
-    ``ranked.order`` lists input positions by descending CR, ties in input
-    order; the report writers read the arrays.  ``per_variable`` and
+    ``order`` lists input positions by descending CR, ties in input order;
+    the report writers read the arrays.  ``per_variable`` and
     ``variable`` build ``VariableAnalysis`` objects only when asked.
     """
 
@@ -67,11 +61,10 @@ class AnalysisReport:
     cr: np.ndarray
     pvalue: np.ndarray
     categories: list
-    ranked: RankedReport
+    order: np.ndarray
     fdr: FdrResult | None  # None when too few variables for the fdr stage
     m: int
     fdr_level: float
-    n: int
     dataset: Dataset
 
     def variable(self, i: int) -> VariableAnalysis:
@@ -97,8 +90,7 @@ class AnalysisReport:
         """Input positions of the CDfdr-selected variables, in rank order."""
         if self.fdr is None:
             return []
-        order = self.ranked.order
-        return order[self.fdr.selected[order]].tolist()
+        return self.order[self.fdr.selected[self.order]].tolist()
 
     def selected_names(self):
         return [self.names[i] for i in self.selected_positions()]
@@ -111,8 +103,7 @@ def analyze_variable(
 
     Degenerate columns come back flagged, not raised; m < 1 is a ConfigError.
     """
-    if m < 1:
-        raise ConfigError("m must be >= 1")
+    check_m(m)
     name = col.name
     mask = ~col.missing
     y = np.asarray(labels)[mask]
@@ -148,47 +139,43 @@ def analyze_variable(
         comps = np.zeros(m)
         comps[: basis.m] = cr.components
         cr = replace(cr, components=comps, flag=f"reduced-m:{basis.m}")
-    return VariableAnalysis(
-        name=name, cr=cr, basis=basis, cd=cd_estimate(data, basis)
-    )
+    return VariableAnalysis(name=name, cr=cr, cd=cd_estimate(data, basis))
 
 
 def analyze(
     dataset: Dataset,
-    m: int = 4,
-    fdr_level: float = 0.2,
-    null_method: NullMethod = NullMethod.POOLED_MOMENTS,
+    m: int = DEFAULT_M,
+    fdr_level: float = FdrConfig.fdr_level,
+    null_method: NullMethod = FdrConfig.null_method,
 ) -> AnalysisReport:
-    if m < 1:
-        raise ConfigError("m must be >= 1")
+    check_m(m)
+    # Built first, so that a level out of range fails before any work.
+    config = FdrConfig(fdr_level=fdr_level, null_method=null_method, sides="right")
+    if not dataset.variables:
+        raise TooFewItems("no variables to analyze")
     labels = np.asarray(dataset.labels)
     panel = panel_cr(dataset.variables, labels, m)
     cr = (panel.components**2).sum(axis=1)
     ok = panel.m_used > 0
     pvalue = np.ones(cr.size)
     pvalue[ok] = null_pvalue(cr[ok], panel.n_effective[ok], panel.m_used[ok])
-    ranked = rank_variables(cr)
 
     fdr = None
     if cr.size >= MIN_FDR_ITEMS:
         # A one-sided z per variable through its own chi-square df keeps
         # reduced-df columns comparable; flagged columns sit at p = 1.
         z = cr_to_z(cr, panel.n_effective, np.maximum(panel.m_used, 1))
-        fdr = cdfdr_pipeline(
-            z,
-            FdrConfig(fdr_level=fdr_level, null_method=null_method, sides="right"),
-        )
+        fdr = cdfdr_pipeline(z, config)
     return AnalysisReport(
         names=[col.name for col in dataset.variables],
         panel=panel,
         cr=cr,
         pvalue=pvalue,
         categories=categorize_rows(panel.components),
-        ranked=ranked,
+        order=rank_variables(cr),
         fdr=fdr,
         m=m,
         fdr_level=fdr_level,
-        n=dataset.n,
         dataset=dataset,
     )
 
@@ -196,10 +183,10 @@ def analyze(
 def curve_grid(va: VariableAnalysis):
     """(u, dhat) on an open-interval grid for a variable that
     ``analyze_variable`` gave a density estimate."""
-    if va.cd is None or va.basis is None:
+    if va.cd is None:
         raise DegenerateVariable(f"variable {va.name!r} has no density estimate")
     u = (np.arange(CURVE_GRID_SIZE) + 0.5) / CURVE_GRID_SIZE
-    dhat = estimate_cd(va.cd.theta, va.basis)(u)
+    dhat = estimate_cd(va.cd.theta, va.cd.basis)(u)
     return u, dhat
 
 
@@ -239,7 +226,7 @@ def write_ranked_csv(report: AnalysisReport, path):
         + [f"R{a}" for a in range(1, m + 1)]
         + ["CR", "pvalue", "category", "rank", "flag", "z", "inverse_fdr", "selected"]
     )
-    order = report.ranked.order
+    order = report.order
     by_rank = order.tolist()
     columns = [
         [report.names[i] for i in by_rank],
@@ -268,7 +255,7 @@ def write_ranked_csv(report: AnalysisReport, path):
 def write_summary_json(report: AnalysisReport, path):
     selected = report.selected_names()
     payload = {
-        "n": report.n,
+        "n": report.dataset.n,
         "p": len(report.names),
         "m": report.m,
         "fdr_level": report.fdr_level,
@@ -289,29 +276,36 @@ def write_summary_json(report: AnalysisReport, path):
     write_json(path, payload)
 
 
-def export_plots(report: AnalysisReport, out_dir, top_k: int = 10, svg: bool = False):
+def check_top_k(top_k):
+    """The rule on the number of variables whose curves are exported."""
+    if top_k < 0:
+        raise ConfigError("top_k must be >= 0")
+
+
+def export_plots(
+    report: AnalysisReport, out_dir, top_k: int = DEFAULT_TOP_K, svg: bool = False
+):
     """Write sorted-CR data plus density/PP curves for the top_k selected
     variables in rank order.
 
     Returns the list of file paths written.
     """
-    if top_k < 0:
-        raise ConfigError("top_k must be >= 0")
+    check_top_k(top_k)
     os.makedirs(out_dir, exist_ok=True)
-    ranked = report.ranked
-    rank = np.arange(1, ranked.order.size + 1)
+    rank = np.arange(1, report.order.size + 1)
+    sorted_cr = report.cr[report.order]
     path = os.path.join(out_dir, "sorted_cr.csv")
     write_table(
         path,
         ["rank", "variable_id", "cr"],
-        [rank.tolist(), [report.names[i] for i in ranked.order.tolist()],
-         ranked.sorted_cr.tolist()],
+        [rank.tolist(), [report.names[i] for i in report.order.tolist()],
+         sorted_cr.tolist()],
         ["%d", "%s", NUMBER_FORMAT],
     )
     written = [path]
     if svg:
         path = os.path.join(out_dir, "sorted_cr.svg")
-        svgplot.polyline_svg(rank, ranked.sorted_cr, path, xlabel="rank", ylabel="CR")
+        svgplot.polyline_svg(rank, sorted_cr, path, xlabel="rank", ylabel="CR")
         written.append(path)
 
     dataset = report.dataset

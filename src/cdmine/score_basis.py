@@ -16,10 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import DegenerateVariable, OutOfDomain, RankDeficient
+from .errors import ConfigError, DegenerateVariable, OutOfDomain, RankDeficient
 from .midrank import MidRankVector
 
 RESIDUAL_NORM_FLOOR = 1e-10
+# M, the number of score functions behind each CR: mean, variance, skewness
+# and tail.
+DEFAULT_M = 4
 
 
 @dataclass(frozen=True)
@@ -31,14 +34,18 @@ class ScoreBasis:
     """
 
     m: int
-    sample_u: np.ndarray
     score_matrix: np.ndarray
     poly_coeffs: np.ndarray
 
 
-def build_score_basis(mid: MidRankVector, m: int = 4) -> ScoreBasis:
+def check_m(m):
+    """The rule on the number of score functions."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ConfigError("m must be >= 1")
+
+
+def build_score_basis(mid: MidRankVector, m: int = DEFAULT_M) -> ScoreBasis:
+    check_m(m)
     if mid.sigma_mid <= 0.0:
         raise DegenerateVariable("constant column: sigma_mid = 0")
     if mid.n_effective <= m + 1:
@@ -102,7 +109,7 @@ def _orthonormalize(mid: MidRankVector, m: int):
         cols[:, k - 1] = v / norm
         polys[k - 1] = poly / norm
 
-    return ScoreBasis(m=m, sample_u=u, score_matrix=cols, poly_coeffs=polys), norm
+    return ScoreBasis(m=m, score_matrix=cols, poly_coeffs=polys), norm
 
 
 def evaluate_scores(basis: ScoreBasis, u_new) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdfdr import MIN_FDR_ITEMS, FdrConfig, cdfdr_pipeline, norm_pdf, norm_sf
+from .cdfdr import MIN_FDR_ITEMS, FdrConfig, cdfdr_pipeline, check_fdr_level, norm_pdf, norm_sf
 from .errors import ConfigError
 from .pipeline import write_json, write_table
 
@@ -39,7 +39,7 @@ class SimConfig:
     runs: int = 100
     seed: int = 0
     methods: tuple = METHODS
-    fdr_level: float = 0.2  # level of every arm: CDfdr, BH and the naive two-step
+    fdr_level: float = FdrConfig.fdr_level  # of every arm: CDfdr, BH, naive two-step
 
     def validate(self):
         if not 0 <= self.m_signals <= self.p:
@@ -55,8 +55,7 @@ class SimConfig:
             raise ConfigError(
                 f"p must be >= {MIN_FDR_ITEMS} for the cdfdr method", ("p", "methods")
             )
-        if not 0.0 < self.fdr_level < 1.0:
-            raise ConfigError("fdr_level must be in (0, 1)", ("fdr_level",))
+        check_fdr_level(self.fdr_level)
 
 
 @dataclass(frozen=True)
@@ -72,15 +71,14 @@ def draw_signals(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(cfg.lo, cfg.hi, size=cfg.m_signals)
 
 
-def bh_baseline(z, level: float = 0.2) -> np.ndarray:
+def bh_baseline(z, level: float = FdrConfig.fdr_level) -> np.ndarray:
     """Benjamini-Hochberg step-up on two-sided normal p-values, per row of z.
 
     A row passes every p-value up to the largest sorted one under its
     step-up line.  That set is closed under ties, so a plain sort and one
     cut per row give the mask a stable ordering would.
     """
-    if not 0.0 < level < 1.0:
-        raise ConfigError("level must be in (0, 1)")
+    check_fdr_level(level)
     z = np.asarray(z, dtype=float)
     p = 2.0 * norm_sf(np.abs(z))
     n = p.shape[-1]
@@ -91,7 +89,9 @@ def bh_baseline(z, level: float = 0.2) -> np.ndarray:
     return p <= cut[..., None]
 
 
-def naive_two_step_baseline(z, level: float = 0.2, bins: int = 40) -> np.ndarray:
+def naive_two_step_baseline(
+    z, level: float = FdrConfig.fdr_level, bins: int = 40
+) -> np.ndarray:
     """Histogram estimate of f, then fdr = f0/f per item, per row of z.
 
     The two-step straw man: estimate the pooled density on equal bins over
@@ -101,6 +101,7 @@ def naive_two_step_baseline(z, level: float = 0.2, bins: int = 40) -> np.ndarray
     range=(min, max), density=True)``: its uniform-bin index formula with the
     same one-step correction against the same ``np.linspace`` edges.
     """
+    check_fdr_level(level)
     shape = np.shape(z)
     z = np.asarray(z, dtype=float).reshape(-1, shape[-1])
     lo, hi = z.min(axis=-1), z.max(axis=-1)

@@ -209,6 +209,59 @@ def test_criterion_2_engine_masked_scores_orthonormal():
            f"{elapsed:.2f}s")
 
 
+def test_engine_identities_at_m_7_and_8():
+    # Criteria 1-4 stop at M = 6; this checks both engine paths up to M = 8.
+    start = time.time()
+    rng = np.random.default_rng(1016)
+    worst = {"r2": 0.0, "masked": 0.0, "grid": 0.0}
+    full = {"shared": 0, "masked": 0}
+    for m in (7, 8):
+        for _ in range(4):
+            n = int(rng.integers(60, 200))
+            y = balanced_labels(rng, n)
+            cols = engine_columns(rng, n, 40)
+            out = panel_cr(cols, y, m)
+            for j, col in enumerate(cols):
+                k = out.m_used[j]
+                keep = ~col.missing
+                u = (rankdata(col.values[keep]) - 0.5) / keep.sum()
+                yk = y[keep].astype(float)
+                design = np.polynomial.legendre.legvander(2.0 * u - 1.0, k)
+                resid = yk - design @ np.linalg.lstsq(design, yk, rcond=None)[0]
+                r2 = 1.0 - resid @ resid / np.sum((yk - yk.mean()) ** 2)
+                worst["r2"] = max(worst["r2"], abs((out.components[j] ** 2).sum() - r2))
+                tie_free = keep.all() and np.unique(col.values).size == n
+                full["shared" if tie_free else "masked"] += int(k == m)
+            x = np.array([np.where(c.missing, np.nan, c.values) for c in cols])
+            present = ~np.isnan(x)
+            order = np.argsort(x, axis=1)
+            xs = np.take_along_axis(x, order, axis=1)
+            first = np.ones(x.shape, dtype=bool)
+            first[:, 1:] = xs[:, 1:] != xs[:, :-1]
+            nj = present.sum(axis=1)
+            scores, m_used = panel._masked_scores(order, first, present, nj, m)
+            for q in range(len(cols)):
+                s = scores[: m_used[q], q]
+                worst["masked"] = max(
+                    worst["masked"],
+                    np.abs(s @ s.T / nj[q] - np.eye(m_used[q])).max(),
+                    np.abs(s.sum(axis=1) / nj[q]).max(),
+                )
+    n = 20_000
+    table = panel.grid_scores(n, 8)
+    worst["grid"] = max(np.abs(table.T @ table / n - np.eye(8)).max(),
+                        np.abs(table.mean(axis=0)).max())
+    X = np.round(rng.normal(size=(150, 30)), 1)
+    tied = analyze(make_dataset(X, balanced_labels(rng, 150)), m=8)
+    elapsed = time.time() - start
+    ok = (max(worst.values()) < 1e-10 and min(full.values()) > 0
+          and (tied.panel.m_used == 8).all() and elapsed < 5.0)
+    report("1-2 (engine, M = 7, 8)", ok,
+           f"max |sum R^2 - R^2| {worst['r2']:.2e}, masked gram dev {worst['masked']:.2e}, "
+           f"grid gram dev at n = {n} {worst['grid']:.2e}, full-M columns {full}, "
+           f"{elapsed:.2f}s")
+
+
 def test_criterion_3_engine_null_calibration():
     # One panel_cr call on 2000 null columns: half complete and tie-free,
     # half tied and a quarter of those with missing cells.

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from cdmine import cli
+from cdmine.cdfdr import FdrConfig
 from cdmine.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
+from cdmine.pipeline import DEFAULT_TOP_K
+from cdmine.score_basis import DEFAULT_M
 from cdmine.simulate import SimConfig
 
 
@@ -369,3 +372,104 @@ def test_cd_names_that_sanitise_alike_keep_their_own_files(tmp_path, capsys):
         va = cli.analyze_variable(col, dataset.labels, 4)
         got = np.loadtxt(out / f"pp_{stem}.csv", delimiter=",", skiprows=1)
         np.testing.assert_array_equal(got, va.cd.pp_points)
+
+
+def test_every_flag_defaults_to_its_setting():
+    parser = cli.build_parser()
+    rank = parser.parse_args(["rank", "x.csv", "--label", "cls"])
+    cd = parser.parse_args(["cd", "x.csv", "--label", "cls", "--vars", "a"])
+    fdr = parser.parse_args(["fdr", "x.csv", "--col", "z"])
+    sim = parser.parse_args(["simulate"])
+    cfg = FdrConfig()
+    assert rank.M == cd.M == fdr.M == DEFAULT_M
+    assert rank.top_k == DEFAULT_TOP_K
+    for args in (rank, fdr):
+        assert args.fdr_level == cfg.fdr_level
+        assert args.null_method == cfg.null_method.value
+    assert (fdr.L, fdr.sides, fdr.weight_mode) == (cfg.n_coeffs, cfg.sides, cfg.weight_mode)
+    # Every simulate setting but the signal count, which SimConfig leaves
+    # to its caller, is a config-file key as well.
+    sim_cfg = SimConfig(m_signals=sim.signals)
+    for key in set(cli.CONFIG_KEYS) - {"signals"}:
+        want = getattr(sim_cfg, cli.CONFIG_FIELDS.get(key, key))
+        got = getattr(sim, key)
+        assert (tuple(got) if key == "methods" else got) == want, key
+
+
+def write_panel(path, p, n=40):
+    rng = np.random.default_rng(3)
+    rows = [",".join([f"v{j}" for j in range(p)] + ["cls"])]
+    rows += [",".join([f"{v:.4f}" for v in rng.normal(size=p)] + [str(i % 2)])
+             for i in range(n)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rank", "--fdr-level", "1.5"], "fdr_level must be in (0, 1)"),
+        (["rank", "--top-k", "-1"], "top_k must be >= 0"),
+        (["cd", "--vars", "v0", "--M", "0"], "m must be >= 1"),
+    ],
+    ids=["rank-fdr-level", "rank-top-k", "cd-M"],
+)
+def test_out_of_range_flag_fails_before_any_output(tmp_path, capsys, argv, message):
+    path = write_panel(tmp_path / "ten.csv", p=10)
+    out = tmp_path / "o"
+    code = main([argv[0], str(path), "--label", "cls", *argv[1:], "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rank_label_only_csv_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "labels.csv"
+    path.write_text("cls\n0\n1\n0\n1\n")
+    out = tmp_path / "o"
+    assert main(["rank", str(path), "--label", "cls", "--out", str(out)]) == EXIT_CONFIG
+    assert_data_error(capsys, "cannot analyze input: no variables to analyze")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["rank"], ["cd", "--vars", "v0"], ["fdr"]])
+def test_non_utf8_csv_is_a_located_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.csv"
+    if command[0] == "fdr":
+        lines = ["id,z"] + [f"g{i},{v:.3f}" for i, v in enumerate(np.linspace(-2, 2, 30))]
+        lines[3] = "caf\xe9,0.5"
+        argv = ["fdr", str(path), "--col", "z"]
+    else:
+        write_panel(path, p=3)
+        lines = path.read_text().splitlines()
+        lines[3] = "caf\xe9," + lines[3].split(",", 1)[1]
+        argv = [command[0], str(path), "--label", "cls", *command[1:]]
+    path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "parse error: row 4: byte 0xe9 is not valid UTF-8" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_config_not_utf8_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_bytes("p=80\r\n# caf\xe9\r\nruns=2\r\n".encode("latin-1"))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert code == EXIT_CONFIG
+    assert f"{cfg}:2: byte 0xe9 is not valid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("row, fields", [("a1,0.1,extra", 3), ("a1", 1)])
+def test_fdr_ragged_row_is_located(tmp_path, capsys, row, fields):
+    values = [f"{v:.3f}" for v in np.linspace(-2, 2, 30)]
+    path = write_scores(tmp_path / "z.csv", values)
+    lines = path.read_text().splitlines()
+    lines[5] = row
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o.csv"
+    assert main(["fdr", str(path), "--col", "z", "--out", str(out)]) == EXIT_PARSE
+    assert f"row 6: row has {fields} fields, expected 2" in capsys.readouterr().err
+    assert not out.exists()

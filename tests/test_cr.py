@@ -126,17 +126,18 @@ def make_result(cr, variable_id, category="mean"):
 class TestRankVariables:
     def test_stable_ties_preserve_input_order(self):
         results = [make_result(0.3, f"v{i}") for i in range(5)]
-        ranked = rank_variables([r.cr for r in results])
-        np.testing.assert_array_equal(ranked.order, np.arange(5))
-        np.testing.assert_array_equal(ranked.ranks, np.arange(1, 6))
+        order = rank_variables([r.cr for r in results])
+        np.testing.assert_array_equal(order, np.arange(5))
+        np.testing.assert_array_equal(np.argsort(order) + 1, np.arange(1, 6))
 
     def test_dominant_variable_heads_its_category(self):
         results = [make_result(0.001, f"n{i}") for i in range(4)]
         results.append(make_result(0.9, "big", category="variance"))
-        ranked = rank_variables([r.cr for r in results])
-        assert results[ranked.order[0]].variable_id == "big"
-        assert results[ranked.order[0]].category == "variance"
-        np.testing.assert_array_equal(ranked.sorted_cr, np.sort(ranked.sorted_cr)[::-1])
+        cr = np.array([r.cr for r in results])
+        order = rank_variables(cr)
+        assert results[order[0]].variable_id == "big"
+        assert results[order[0]].category == "variance"
+        np.testing.assert_array_equal(cr[order], np.sort(cr[order])[::-1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -151,11 +152,11 @@ class TestRankVariables:
 )
 def test_rank_order_is_descending_cr_then_input_position(values):
     cr = np.array(values)
-    ranked = rank_variables(cr)
+    order = rank_variables(cr)
     want = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    assert ranked.order.tolist() == want
-    assert ranked.ranks[want].tolist() == list(range(1, len(values) + 1))
-    np.testing.assert_array_equal(ranked.sorted_cr, cr[want])
+    assert order.tolist() == want
+    assert (np.argsort(order) + 1)[want].tolist() == list(range(1, len(values) + 1))
+    np.testing.assert_array_equal(cr[order], cr[want])
 
 
 def test_cr_invariances():

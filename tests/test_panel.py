@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cdmine import panel
 from cdmine.dataset import Dataset
-from cdmine.errors import NonFinite
+from cdmine.errors import ConfigError, NonFinite
 from cdmine.midrank import VariableColumn
 from cdmine.pipeline import analyze, analyze_variable
 
@@ -84,7 +84,7 @@ def assert_matches_reference(ds, m):
     # Same ranks, except that columns whose reference CRs agree within the
     # tolerance may come in either order.
     ref_cr = np.array([r.cr.cr for r in ref])
-    assert np.all(np.diff(ref_cr[np.argsort(report.ranked.ranks)]) <= TOL)
+    assert np.all(np.diff(ref_cr[report.order]) <= TOL)
     return report
 
 
@@ -151,3 +151,9 @@ def test_non_missing_inf_is_a_located_error():
     ds = Dataset(variables=cols, labels=np.arange(n) % 2, positive_label="1", n=n, p=2)
     with pytest.raises(NonFinite, match=r"^variable 'gene 7': "):
         analyze(ds)
+
+
+def test_m_below_one_is_a_config_error():
+    col = VariableColumn.from_values(np.arange(30.0), name="a")
+    with pytest.raises(ConfigError, match="m must be >= 1"):
+        panel.panel_cr([col], np.arange(30) % 2, 0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cdmine.dataset import Dataset
-from cdmine.errors import ConfigError
+from cdmine.errors import ConfigError, TooFewItems
 from cdmine.midrank import VariableColumn
 from cdmine.pipeline import (
     analyze,
@@ -40,6 +40,17 @@ def test_null_panels_rarely_select():
     assert quiet >= 9
 
 
+def test_analyze_rejects_a_bad_level_and_an_empty_panel():
+    # Ten variables are too few for the fdr stage, which used to be the only
+    # place that read the level.
+    small = null_dataset(np.random.default_rng(99), p=10)
+    with pytest.raises(ConfigError, match="fdr_level"):
+        analyze(small, fdr_level=1.5)
+    empty = Dataset(variables=[], labels=small.labels, positive_label="1", n=small.n, p=0)
+    with pytest.raises(TooFewItems, match="no variables"):
+        analyze(empty)
+
+
 def test_planted_location_column():
     rng = np.random.default_rng(101)
     n, p = 200, 30
@@ -47,7 +58,7 @@ def test_planted_location_column():
     X = rng.normal(size=(n, p))
     X[:, 7] += 2.0 * y
     report = analyze(make_dataset(X, y))
-    top = report.ranked.order[0]
+    top = report.order[0]
     assert report.names[top] == "v7"
     assert report.categories[top] == "mean"
     assert "v7" in report.selected_names()
@@ -60,7 +71,7 @@ def test_planted_scale_column_u_shaped_density():
     X = rng.normal(size=(n, p))
     X[:, 3] *= 1.0 + 3.0 * y
     report = analyze(make_dataset(X, y))
-    top = report.ranked.order[0]
+    top = report.order[0]
     assert report.names[top] == "v3"
     assert report.categories[top] == "variance"
     ds = report.dataset
@@ -95,7 +106,7 @@ def test_every_variable_reported_once_with_flags():
     X[:, 1] = np.nan  # all missing
     X[:, 2] = (np.arange(n) % 2).astype(float)  # binary: basis reduced to m=1
     report = analyze(make_dataset(X, y))
-    ids = [report.names[i] for i in report.ranked.order]
+    ids = [report.names[i] for i in report.order]
     assert sorted(ids) == sorted(f"v{j}" for j in range(22))
     flags = {va.name: va.cr.flag for va in report.per_variable}
     assert flags["v0"] == "constant"
@@ -164,7 +175,7 @@ def test_ranked_csv_rows_follow_positions_not_names(tmp_path):
         rows = [r for r in csv.DictReader(fh) if r["variable_id"] == "dup"]
     assert len(rows) == 2
     for row in rows:
-        i = int(np.flatnonzero(report.ranked.ranks == int(row["rank"]))[0])
+        i = int(report.order[int(row["rank"]) - 1])
         assert float(row["CR"]) == report.per_variable[i].cr.cr
         assert float(row["z"]) == report.fdr.z[i]
         assert row["selected"] == str(int(report.fdr.selected[i]))

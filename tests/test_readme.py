@@ -47,15 +47,22 @@ def write_scores(path):
     path.write_text("id,z\n" + "".join(f"g{i},{v:.4f}\n" for i, v in enumerate(z)))
 
 
+def command_ids(commands):
+    """Each command's subcommand, with a count from its second use on."""
+    ids = [argv[0] for argv in commands]
+    return [c if ids[:i].count(c) == 0 else f"{c}-{ids[:i].count(c) + 1}"
+            for i, c in enumerate(ids)]
+
+
 FIXTURES = {"data.csv": write_panel, "zscores.csv": write_scores}
 COMMANDS = cli_commands()
 
 
 def test_cli_section_shows_every_subcommand():
-    assert sorted(argv[0] for argv in COMMANDS) == ["cd", "fdr", "rank", "simulate"]
+    assert sorted({argv[0] for argv in COMMANDS}) == ["cd", "fdr", "rank", "simulate"]
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+@pytest.mark.parametrize("argv", COMMANDS, ids=command_ids(COMMANDS))
 def test_readme_command_runs(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name in argv:

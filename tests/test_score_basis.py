@@ -13,7 +13,7 @@ def mid_of(values):
 
 
 def gram(basis):
-    n = basis.sample_u.size
+    n = basis.score_matrix.shape[0]
     return basis.score_matrix.T @ basis.score_matrix / n
 
 

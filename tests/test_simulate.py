@@ -195,6 +195,14 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+@pytest.mark.parametrize("baseline", [bh_baseline, naive_two_step_baseline])
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+def test_baselines_apply_the_level_rule(baseline, level):
+    z = np.random.default_rng(0).standard_normal(100)
+    with pytest.raises(ConfigError, match=r"fdr_level must be in \(0, 1\)"):
+        baseline(z, level)
+
+
 def test_report_files_roundtrip(tmp_path):
     import csv
     import json
