@@ -34,7 +34,7 @@ from .cr import (
     null_pvalue,
     rank_variables,
 )
-from .dataset import Dataset, load_csv
+from .dataset import ColumnMatrix, Dataset, load_csv
 from .midrank import MidRankVector, VariableColumn, mid_rank_transform
 from .pipeline import AnalysisReport, analyze, export_plots
 from .score_basis import ScoreBasis, build_score_basis, evaluate_scores

@@ -79,6 +79,12 @@ def check_fdr_level(level):
         raise ConfigError("fdr_level must be in (0, 1)", ("fdr_level",))
 
 
+def check_n_coeffs(n_coeffs):
+    """The rule on the length of the residual series."""
+    if n_coeffs < 1:
+        raise ConfigError("n_coeffs must be >= 1", ("n_coeffs",))
+
+
 @dataclass(frozen=True)
 class FdrConfig:
     """The CDfdr settings; their defaults are the package's defaults."""
@@ -91,6 +97,7 @@ class FdrConfig:
 
     def __post_init__(self):
         check_fdr_level(self.fdr_level)
+        check_n_coeffs(self.n_coeffs)
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,7 @@ def preflatten(z, null: EmpiricalNull) -> np.ndarray:
 
 
 def estimate_residual_density(u_flat, n_coeffs: int = FdrConfig.n_coeffs) -> ResidualDensity:
+    check_n_coeffs(n_coeffs)
     return _fit_residual(u_flat, n_coeffs)[0]
 
 
@@ -163,8 +171,6 @@ def _fit_residual(u_flat, n_coeffs: int):
     term k alone, so each term is added to the series as soon as it is fit,
     in the order ``ResidualDensity.__call__`` adds it, and then dropped.
     """
-    if n_coeffs < 1:
-        raise ConfigError("need at least one series coefficient")
     u = np.asarray(u_flat, dtype=float)
     p = u.shape[-1]
     coeffs = np.empty(u.shape[:-1] + (n_coeffs,))

@@ -10,7 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -19,7 +18,7 @@ import sys
 import numpy as np
 
 from .cdfdr import FdrConfig, NullMethod, cdfdr_pipeline, check_fdr_level, cr_to_z
-from .dataset import DEFAULT_MISSING_TOKENS, load_csv, open_text
+from .dataset import DEFAULT_MISSING_TOKENS, csv_rows, load_csv, open_text
 from .errors import CdmineError, ConfigError, LabelError, ParseError
 from .pipeline import (
     DEFAULT_TOP_K,
@@ -169,14 +168,14 @@ def cmd_rank(args) -> int:
 def cmd_cd(args) -> int:
     check_m(args.M)
     dataset = load_dataset(args)
-    by_name = {v.name: v for v in dataset.variables}
-    unknown = [v for v in args.vars if v not in by_name]
+    position = {name: i for i, name in enumerate(dataset.names)}
+    unknown = [v for v in args.vars if v not in position]
     if unknown:
         raise ConfigError(f"unknown variables: {unknown}")
     os.makedirs(args.out, exist_ok=True)
     stems = set()
     for name in dict.fromkeys(args.vars):
-        va = analyze_variable(by_name[name], dataset.labels, args.M)
+        va = analyze_variable(dataset.variables[position[name]], dataset.labels, args.M)
         if va.cd is None:
             print(f"{name}: skipped ({va.cr.flag})")
             continue
@@ -197,7 +196,7 @@ def cmd_fdr(args) -> int:
         weight_mode=args.weight_mode,
     )
     with open_text(args.csv, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError("empty file", row=1)

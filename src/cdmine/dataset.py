@@ -1,4 +1,5 @@
-"""CSV ingestion: feature columns with missing-value masks plus a binary label."""
+"""CSV ingestion: one (p, n) feature matrix with its missing mask, plus a
+binary label."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import contextlib
 import csv
 import itertools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +16,10 @@ from .errors import LabelError, ParseError
 from .midrank import VariableColumn
 
 DEFAULT_MISSING_TOKENS = ("NA", "", "?")
+# Cells that the plain-file path splits and converts at a time.
+CHUNK_CELLS = 2**16
+# The bytes of a plain file: LF and printable ASCII other than space and '"'.
+_PLAIN_BYTES = b"\n" + bytes(range(0x21, 0x7F)).replace(b'"', b"")
 # Line ends as Python's universal newlines read them.
 _LINE_END = re.compile(rb"\r\n?|\n")
 
@@ -39,16 +45,58 @@ def open_text(path, newline=None):
             raise
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnMatrix(Sequence):
+    """Feature columns held as the rows of one (p, n) value matrix and its
+    missing mask.  Item i is a ``VariableColumn`` of row views; a slice is
+    a ColumnMatrix of views."""
+
+    values: np.ndarray  # (p, n)
+    missing: np.ndarray  # (p, n) bool
+    names: list
+
+    def __len__(self):
+        return len(self.names)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ColumnMatrix(self.values[i], self.missing[i], self.names[i])
+        return VariableColumn(values=self.values[i], missing=self.missing[i], name=self.names[i])
+
+    @classmethod
+    def stack(cls, cols):
+        """``cols`` itself if it is a ColumnMatrix, else a copy of its
+        ``VariableColumn``s stacked into one."""
+        if isinstance(cols, cls):
+            return cols
+        return cls(
+            np.stack([c.values for c in cols]),
+            np.stack([c.missing for c in cols]),
+            [c.name for c in cols],
+        )
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Feature columns in header order and a 0/1 label per row.  Columns
-    from ``load_csv`` are row views of one (p, n) matrix."""
+    """Feature columns in header order and a 0/1 label per row.
 
-    variables: list  # VariableColumn
+    ``variables`` is any sequence of ``VariableColumn``s; ``load_csv``
+    gives a ColumnMatrix, whose columns share one (p, n) matrix that the
+    engine reads without a copy.
+    """
+
+    variables: Sequence  # VariableColumn
     labels: np.ndarray  # 0/1, length n
     positive_label: str
     n: int
     p: int
+
+    @property
+    def names(self) -> list:
+        """Variable names in header order."""
+        if isinstance(self.variables, ColumnMatrix):
+            return list(self.variables.names)
+        return [col.name for col in self.variables]
 
 
 def load_csv(
@@ -60,17 +108,97 @@ def load_csv(
     """Parse a header-bearing CSV into feature columns and a binary label.
 
     A feature cell that matches a missing token, as written or stripped, or
-    that reads as NaN is missing.  All feature cells are parsed in one pass
-    into a single (p, n) array, and each returned ``VariableColumn`` is a row
-    view of it and of its missing mask.  A ragged row, a non-numeric cell,
-    an infinite value and a repeated header name are each a ParseError with
-    its location; the first bad row or cell in file order wins, and an
-    infinite value is reported only when every cell parses, from the lowest
-    column and then the lowest row.
+    that reads as NaN is missing.  Every feature cell goes into one (p, n)
+    matrix, returned as a ColumnMatrix with its missing mask.  A file of
+    plain ASCII cells (see ``_parse_plain``) is parsed in row chunks
+    straight into that matrix; any other file, and any plain file with a
+    fault, is read by ``csv.reader`` instead.  A ragged row, a non-numeric
+    cell, an infinite value, a repeated header name and a field longer than
+    ``csv.field_size_limit()`` are each a ParseError with its location; the
+    first bad row or cell in file order wins, and an infinite value is
+    reported only when every cell parses, from the lowest column and then
+    the lowest row.
     """
     missing = set(missing_tokens)
+    parsed = _parse_plain(path, label_column, missing)
+    names, X, raw_labels = parsed or _parse_rows(path, label_column, missing)
+
+    distinct_labels = sorted(set(raw_labels))
+    if len(distinct_labels) != 2:
+        raise LabelError(
+            f"label column must take exactly 2 values, got {distinct_labels}"
+        )
+    if positive_label is None:
+        positive_label = distinct_labels[-1]
+    elif positive_label not in distinct_labels:
+        raise LabelError(
+            f"positive label {positive_label!r} not among {distinct_labels}"
+        )
+    labels = np.array([1 if v == positive_label else 0 for v in raw_labels])
+    return Dataset(
+        variables=ColumnMatrix(X, np.isnan(X), names),
+        labels=labels,
+        positive_label=positive_label,
+        n=X.shape[1],
+        p=X.shape[0],
+    )
+
+
+def _parse_plain(path, label_column, missing):
+    """(names, values (p, n), labels) of a plain file, else None.
+
+    A plain file holds only LF line ends and printable ASCII other than
+    space and ``"``, so ``csv.reader`` would split each line on commas and
+    ``str.strip`` would change no cell.  Its lines are non-empty, hold the
+    header's comma count and fit within ``csv.field_size_limit()``; its
+    header holds the label column once and no name twice; its cells all
+    parse, and none is infinite.  Lines are parsed CHUNK_CELLS cells at a
+    time: per-row lists and a whole-file cell list are never built.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    lines = data.decode("ascii").split("\n")
+    del data
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or not all(lines):
+        return None
+    header = lines[0].split(",")
+    w = len(header)
+    if len(set(header)) < w or label_column not in header:
+        return None
+    if set(map(str.count, lines, itertools.repeat(","))) != {w - 1}:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    label_idx = header.index(label_column)
+    n, p = len(lines) - 1, w - 1
+    X = np.empty((p, n))
+    labels = []
+    to_nan = dict.fromkeys(missing, "nan")
+    step = max(1, CHUNK_CELLS // w)
+    for a in range(0, n, step):
+        chunk = lines[1 + a : 1 + a + step]
+        cells = ",".join(chunk).split(",")
+        labels += cells[label_idx::w]
+        del cells[label_idx::w]
+        try:
+            flat = np.fromiter(map(float, map(to_nan.get, cells, cells)), float, len(cells))
+        except ValueError:
+            return None
+        X[:, a : a + len(chunk)] = flat.reshape(len(chunk), p).T
+    if np.isinf(X).any():
+        return None
+    return header[:label_idx] + header[label_idx + 1 :], X, labels
+
+
+def _parse_rows(path, label_column, missing):
+    """(names, values (p, n), labels) of any file, read by ``csv.reader``;
+    every fault is a located ParseError or a LabelError."""
     with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -117,30 +245,19 @@ def load_csv(
         raise ParseError(
             f"infinite value {rows[i][j].strip()!r}", row=int(i) + 2, column=names[j]
         )
-    mask = np.isnan(X)
-    variables = [
-        VariableColumn(values=X[j], missing=mask[j], name=names[j]) for j in range(p)
-    ]
+    return names, X, raw_labels
 
-    distinct_labels = sorted(set(raw_labels))
-    if len(distinct_labels) != 2:
-        raise LabelError(
-            f"label column must take exactly 2 values, got {distinct_labels}"
-        )
-    if positive_label is None:
-        positive_label = distinct_labels[-1]
-    elif positive_label not in distinct_labels:
-        raise LabelError(
-            f"positive label {positive_label!r} not among {distinct_labels}"
-        )
-    labels = np.array([1 if v == positive_label else 0 for v in raw_labels])
-    return Dataset(
-        variables=variables,
-        labels=labels,
-        positive_label=positive_label,
-        n=n,
-        p=p,
-    )
+
+def csv_rows(fh):
+    """The records of an open CSV file, as ``csv.reader`` reads them; a
+    record it cannot read, such as one with a field longer than
+    ``csv.field_size_limit()``, is a ParseError at that record's row."""
+    row = 0
+    try:
+        for row, record in enumerate(csv.reader(fh), 1):
+            yield record
+    except csv.Error as exc:
+        raise ParseError(str(exc), row=row + 1) from None
 
 
 def _raise_first_bad_cell(rows, names, missing):

@@ -11,7 +11,8 @@ tie-free.
 
 Columns are processed in blocks of BLOCK_COLUMNS, so the temporaries stay
 small next to the dataset itself.  Within a block, arrays hold one column
-per row.
+per row: a block of a ``ColumnMatrix`` is a slice of its matrix, and a list
+of columns is stacked one block at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import ColumnMatrix
 from .errors import NonFinite
 from .midrank import MidRankVector
 from .score_basis import RESIDUAL_NORM_FLOOR, check_m, feasible_score_basis
@@ -50,7 +52,8 @@ def grid_scores(n: int, m: int):
 
 
 def panel_cr(variables, labels, m: int) -> PanelCr:
-    """CR components with up to m >= 1 scores of every column of a panel.
+    """CR components with up to m >= 1 scores of every column of a panel,
+    given as a ``ColumnMatrix`` or a sequence of ``VariableColumn``s.
 
     Complete, tie-free columns take the shared ``grid_scores`` table, or
     the masked path when it has fewer than m scores.  A non-missing NaN or
@@ -71,20 +74,27 @@ def panel_cr(variables, labels, m: int) -> PanelCr:
         flags=[""] * p,
     )
     for start in range(0, p, BLOCK_COLUMNS):
-        _block(variables[start : start + BLOCK_COLUMNS], y, m, table, out, start)
+        x, present, names = _block_arrays(variables[start : start + BLOCK_COLUMNS])
+        _block(x, present, names, y, m, table, out, start)
     return out
 
 
-def _block(cols, y, m, table, out, start):
+def _block_arrays(cols):
+    """(values with NaN at the missing entries, present mask, names) of a
+    block.  A list of columns is stacked here, so that its copy is freed
+    before the block is sorted."""
+    cols = ColumnMatrix.stack(cols)
+    present = ~cols.missing
+    return np.where(present, cols.values, np.nan), present, cols.names
+
+
+def _block(x, present, names, y, m, table, out, start):
     n = y.size
-    present = ~np.stack([c.missing for c in cols])
-    x = np.where(present, np.stack([c.values for c in cols]), np.nan)
     nj = present.sum(axis=1)
     n1 = present @ y
     bad = np.flatnonzero((nj >= 2) & (present & ~np.isfinite(x)).any(axis=1))
     if bad.size:
-        name = cols[bad[0]].name
-        raise NonFinite(f"variable {name!r}: non-missing NaN or infinite value")
+        raise NonFinite(f"variable {names[bad[0]]!r}: non-missing NaN or infinite value")
 
     order = np.argsort(x, axis=1)  # missing (NaN) entries last
     xs = np.take_along_axis(x, order, axis=1)
@@ -93,14 +103,14 @@ def _block(cols, y, m, table, out, start):
     present_sorted = np.arange(n) < nj[:, None]
     distinct = (first & present_sorted).sum(axis=1)
 
-    flags = np.full(len(cols), "", dtype=object)
+    flags = np.full(len(names), "", dtype=object)
     flags[(n1 < 2) | (nj - n1 < 2)] = "class-too-small"
     flags[distinct == 1] = "constant"
     flags[nj < 2] = "all-missing"
     ok = flags == ""
     shared = ok & (nj == n) & (distinct == n) & (table is not None)
-    comps = out.components[start : start + len(cols)]
-    m_used = out.m_used[start : start + len(cols)]
+    comps = out.components[start : start + len(names)]
+    m_used = out.m_used[start : start + len(names)]
 
     if shared.any():
         # Complete and tie-free: the score of the entry of rank r is T[r - 1].
@@ -120,8 +130,8 @@ def _block(cols, y, m, table, out, start):
         reduced = masked[(m_used[masked] >= 1) & (m_used[masked] < m)]
         flags[reduced] = [f"reduced-m:{k}" for k in m_used[reduced]]
 
-    out.n_effective[start : start + len(cols)] = nj
-    out.flags[start : start + len(cols)] = flags.tolist()
+    out.n_effective[start : start + len(names)] = nj
+    out.flags[start : start + len(names)] = flags.tolist()
 
 
 def _masked(order, first, present, nj, n1, y, m):

@@ -167,7 +167,7 @@ def analyze(
         z = cr_to_z(cr, panel.n_effective, np.maximum(panel.m_used, 1))
         fdr = cdfdr_pipeline(z, config)
     return AnalysisReport(
-        names=[col.name for col in dataset.variables],
+        names=dataset.names,
         panel=panel,
         cr=cr,
         pvalue=pvalue,

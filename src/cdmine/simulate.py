@@ -42,6 +42,8 @@ class SimConfig:
     fdr_level: float = FdrConfig.fdr_level  # of every arm: CDfdr, BH, naive two-step
 
     def validate(self):
+        if self.p < 1:
+            raise ConfigError("p must be >= 1", ("p",))
         if not 0 <= self.m_signals <= self.p:
             raise ConfigError("m_signals must lie in [0, p]", ("m_signals", "p"))
         if self.runs < 1:

@@ -310,3 +310,11 @@ def test_pipeline_equals_the_public_entry_points(weight_mode, n_coeffs):
     np.testing.assert_array_equal(
         result.inverse_fdr, inverse_fdr_curve(z, result.null, resid, weight_mode)
     )
+
+
+def test_series_length_below_one_is_rejected_where_it_is_set():
+    with pytest.raises(ConfigError, match="n_coeffs must be >= 1") as info:
+        FdrConfig(n_coeffs=0)
+    assert info.value.fields == ("n_coeffs",)
+    with pytest.raises(ConfigError, match="n_coeffs must be >= 1"):
+        estimate_residual_density(np.linspace(0.1, 0.9, 30), 0)

@@ -285,6 +285,7 @@ def test_simulate_config_keys_reach_their_settings(tmp_path, monkeypatch):
         ("p=10\nsignals=2\n", "sim.cfg:1: p must be >= 20 for the cdfdr method"),
         ("methods=bh,cdfdr\np=19\nsignals=0\n",
          "sim.cfg:2: p must be >= 20 for the cdfdr method"),
+        ("methods=bh\nsignals=0\np=0\n", "sim.cfg:3: p must be >= 1"),
     ],
 )
 def test_simulate_config_rejects_what_it_cannot_apply(tmp_path, capsys, text, message):
@@ -472,4 +473,37 @@ def test_fdr_ragged_row_is_located(tmp_path, capsys, row, fields):
     out = tmp_path / "o.csv"
     assert main(["fdr", str(path), "--col", "z", "--out", str(out)]) == EXIT_PARSE
     assert f"row 6: row has {fields} fields, expected 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "cd", "fdr"])
+def test_field_over_the_csv_limit_is_a_located_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "big.csv"
+    path.write_text("a,cls\n" + "1" * 200000 + ",0\n")
+    argv = {
+        "rank": ["rank", str(path), "--label", "cls"],
+        "cd": ["cd", str(path), "--label", "cls", "--vars", "a"],
+        "fdr": ["fdr", str(path), "--col", "a"],
+    }[command]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "parse error: row 2: field larger than field limit" in err
+    assert not out.exists()
+
+
+def test_fdr_series_length_is_checked_before_the_input_is_read(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    code = main(["fdr", str(missing), "--col", "z", "--L", "0", "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "n_coeffs must be >= 1" in err and "absent.csv" not in err
+
+
+def test_simulate_with_no_items_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "s"
+    code = main(["simulate", "--p", "0", "--signals", "0", "--methods", "bh", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "p must be >= 1" in err and "Traceback" not in err
     assert not out.exists()

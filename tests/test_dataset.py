@@ -2,13 +2,15 @@ import csv
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdmine.dataset import load_csv
+from cdmine import dataset
+from cdmine.dataset import ColumnMatrix, Dataset, load_csv
 from cdmine.errors import LabelError, ParseError
 
 
@@ -232,3 +234,200 @@ def test_a_token_with_surrounding_spaces_matches_as_written(tmp_path):
     path = write(tmp_path, "a,cls\n NA ,0\n1,1\n2,0\n")
     ds = load_csv(path, label_column="cls", missing_tokens=(" NA ",))
     np.testing.assert_array_equal(ds.variables[0].missing, [True, False, False])
+
+
+def reference_csv_load(path, label_column, tokens):
+    """load_csv by its rules, row by row, from csv.reader, str.strip and
+    float(): (names, values (p, n), missing mask, labels), or the error
+    load_csv raises."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        records = list(csv.reader(fh))
+    if not records:
+        raise ParseError("empty file", row=1)
+    header, rows = records[0], records[1:]
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise ParseError(f"duplicate column name {name!r}", row=1, column=name)
+    if label_column not in header:
+        raise LabelError(f"label column {label_column!r} not in header")
+    k = header.index(label_column)
+    names = header[:k] + header[k + 1 :]
+    if not rows:
+        raise ParseError("no data rows", row=2)
+    values = np.full((len(names), len(rows)), np.nan)
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(f"row has {len(row)} fields, expected {len(header)}", row=i + 2)
+        for j, cell in enumerate(row[:k] + row[k + 1 :]):
+            if cell in tokens or cell.strip() in tokens:
+                continue
+            try:
+                values[j, i] = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"cannot parse {cell.strip()!r} as a number", row=i + 2, column=names[j]
+                ) from None
+    for j, i in np.argwhere(np.isinf(values)):
+        cell = (rows[i][:k] + rows[i][k + 1 :])[j]
+        raise ParseError(f"infinite value {cell.strip()!r}", row=int(i) + 2, column=names[j])
+    labels = [row[k].strip() for row in rows]
+    distinct = sorted(set(labels))
+    if len(distinct) != 2:
+        raise LabelError(f"label column must take exactly 2 values, got {distinct}")
+    return names, values, np.isnan(values), [int(v == distinct[-1]) for v in labels]
+
+
+# Cells of generated files: numbers in the forms float() reads and NaN
+# spellings, beside the file's missing tokens.  A "junk" fault puts in one
+# cell that does not parse or is infinite.
+NUMBER_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6, allow_nan=False).map(lambda x: f"{x:+.4e}"),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["nan", "NaN", "-1.5E-3", "+2", "1_0", ".5", "5.", "-999"]),
+)
+JUNK_CELLS = st.sampled_from(["x", "0x10", "1__0", "_1", "inf", "-Infinity", "1e999"])
+
+
+@st.composite
+def csv_files(draw):
+    """(text, tokens): a CSV with a cls column, or with one fault, written
+    plain (LF, no quotes or spaces) or not (quotes, CRLF, spaces, non-ASCII)."""
+    tokens = draw(st.sampled_from([("NA", "", "?"), ("NA", "", "?", "-999"), ("-999",)]))
+    p = draw(st.integers(0, 4))
+    n = draw(st.integers(2, 6))
+    names = [f"v{j}" for j in range(p)]
+    label_idx = draw(st.integers(0, p))
+    header = names[:label_idx] + ["cls"] + names[label_idx:]
+    fault = draw(st.sampled_from(
+        ["none"] * 8 + ["duplicate", "no-label", "ragged", "labels", "junk", "junk"]
+    ))
+    if fault == "duplicate" and p:
+        header[-1] = header[0]
+    elif fault == "no-label":
+        header[label_idx] = "class"
+    rows = [header]
+    for i in range(n):
+        cell = st.one_of(NUMBER_TEXTS, NUMBER_TEXTS, st.sampled_from(tokens))
+        row = draw(st.lists(cell, min_size=p, max_size=p))
+        label = draw(st.sampled_from("012")) if fault == "labels" else str(i % 2)
+        rows.append(row[:label_idx] + [label] + row[label_idx:])
+    if fault == "ragged":
+        i = draw(st.integers(1, n))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    elif fault == "junk" and p:
+        i, j = draw(st.integers(1, n)), draw(st.sampled_from(range(p + 1)))
+        if j != label_idx:
+            rows[i][j] = draw(JUNK_CELLS)
+
+    plain = draw(st.booleans())
+    pad = st.sampled_from([""] * 4 + [" ", "\t", "\xa0"])
+    quote = st.booleans()
+    lines = []
+    for i, row in enumerate(rows):
+        if not plain:
+            if i:
+                row = [draw(pad) + c + draw(pad) for c in row]
+            elif draw(st.booleans()):
+                row = [c if c == "cls" else c + "é" for c in row]
+            row = ['"%s"' % c if draw(quote) else c for c in row]
+        lines.append(",".join(row))
+    if draw(st.sampled_from([False] * 7 + [True])):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    end = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if draw(st.booleans()) else ""), tokens
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=csv_files())
+def test_load_csv_equals_the_row_by_row_reference(case):
+    text, tokens = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            want = reference_csv_load(path, "cls", tokens)
+        except (ParseError, LabelError) as exc:
+            with pytest.raises(type(exc)) as err:
+                load_csv(path, label_column="cls", missing_tokens=tokens)
+            assert str(err.value) == str(exc)
+            return
+        ds = load_csv(path, label_column="cls", missing_tokens=tokens)
+        plain = dataset._parse_plain(path, "cls", set(tokens))
+    names, values, mask, labels = want
+    assert ds.names == names and (ds.n, ds.p) == values.shape[::-1]
+    np.testing.assert_array_equal(ds.variables.missing, mask)
+    np.testing.assert_array_equal(ds.labels, labels)
+    got = ds.variables.values
+    np.testing.assert_array_equal(got[~mask].view(np.uint64), values[~mask].view(np.uint64))
+    assert np.isnan(got[mask]).all()
+    # A valid file without quotes, CR, spaces or non-ASCII takes the plain path.
+    if text.isascii() and not set(' "\r\t') & set(text) and "\n\n" not in text:
+        assert plain is not None
+
+
+def test_files_that_are_not_plain_take_the_csv_reader(tmp_path, monkeypatch):
+    calls = []
+    real = dataset._parse_rows
+    monkeypatch.setattr(dataset, "_parse_rows", lambda *a: calls.append(a) or real(*a))
+    plain = "a,cls\n1,0\n2,1\n"
+    for text in [plain, plain.replace("\n", "\r\n"), plain.replace("a,", '"a",'),
+                 plain.replace("1,0", " 1,0"), plain.replace("a,", "a\xa0,")]:
+        ds = load_csv(write(tmp_path, text), label_column="cls")
+        assert ds.names == [text.split(",")[0].strip('"')]
+        assert ds.variables.values.tolist() == [[1.0, 2.0]]
+    assert len(calls) == 4
+
+
+def test_chunks_fill_the_whole_matrix(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "CHUNK_CELLS", 7)  # 2 rows of 3 cells a chunk
+    rows = [f"{i},{i * 10},{i % 2}" for i in range(9)]
+    ds = load_csv(write(tmp_path, "a,b,cls\n" + "\n".join(rows)), label_column="cls")
+    assert ds.variables.values.tolist() == [list(range(9)), list(range(0, 90, 10))]
+    assert ds.labels.tolist() == [i % 2 for i in range(9)]
+
+
+@pytest.mark.parametrize("where", ["header", "cell", "label"])
+def test_field_over_the_csv_limit_is_a_located_parse_error(tmp_path, where):
+    big = "1" * (csv.field_size_limit() + 1)
+    lines = ["a,b,cls", "1,2,0", "3,4,1"]
+    if where == "header":
+        lines[0] = f"a,{big},cls"
+    elif where == "cell":
+        lines[2] = f"3,{big},1"
+    else:
+        lines[1] = f"1,2,{big}"
+    with pytest.raises(ParseError) as err:
+        load_csv(write(tmp_path, "\n".join(lines) + "\n"), label_column="cls")
+    assert err.value.row == {"header": 1, "cell": 3, "label": 2}[where]
+    assert "field larger than field limit" in str(err.value)
+
+
+def test_a_list_of_columns_and_the_matrix_give_the_same_dataset_api(tmp_path):
+    path = write(tmp_path, "a,cls,b\n1,0,NA\n2,1,3\n4,0,5\n")
+    ds = load_csv(path, label_column="cls")
+    listed = Dataset(variables=list(ds.variables), labels=ds.labels,
+                     positive_label=ds.positive_label, n=ds.n, p=ds.p)
+    assert ds.names == listed.names == ["a", "b"]
+    assert [c.name for c in ds.variables[1:]] == ["b"]
+    assert ColumnMatrix.stack(ds.variables) is ds.variables
+    stacked = ColumnMatrix.stack(listed.variables)
+    np.testing.assert_array_equal(stacked.values, ds.variables.values)
+    np.testing.assert_array_equal(stacked.missing, ds.variables.missing)
+
+
+def test_load_peak_memory_stays_near_the_value_matrix(tmp_path):
+    rng = np.random.default_rng(0)
+    n, p = 100, 5000
+    X = rng.normal(size=(n, p))
+    header = ",".join(f"g{j}" for j in range(p)) + ",cls\n"
+    body = "".join(",".join(map("{:.5f}".format, row)) + f",{i % 2}\n" for i, row in enumerate(X))
+    path = write(tmp_path, header + body)
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, label_column="cls")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ds.variables.values.nbytes

@@ -186,6 +186,11 @@ class TestRunExperiment:
                                           methods=("bh", "naive-two-step")))
         assert set(report.counts) == {"bh", "naive-two-step"}
 
+    def test_p_below_one_is_rejected_before_any_run(self):
+        with pytest.raises(ConfigError, match="p must be >= 1") as info:
+            run_experiment(SimConfig(m_signals=0, p=0, methods=("bh",)))
+        assert info.value.fields == ("p",)
+
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2])
     def test_fdr_level_outside_unit_interval(self, level):
         # The naive arm has no level check of its own, so only validate stops it.
