@@ -149,8 +149,9 @@ def _parse_plain(path, label_column, missing):
 
     A plain file holds only LF line ends and printable ASCII other than
     space and ``"``, so ``csv.reader`` would split each line on commas and
-    ``str.strip`` would change no cell.  Its lines are non-empty, hold the
-    header's comma count and fit within ``csv.field_size_limit()``; its
+    ``str.strip`` would change no cell.  Its lines are non-empty and hold
+    the header's comma count, and its fields fit within
+    ``csv.field_size_limit()``; its
     header holds the label column once and no name twice; its cells all
     parse, and none is infinite.  Lines are parsed CHUNK_CELLS cells at a
     time: per-row lists and a whole-file cell list are never built.
@@ -171,7 +172,10 @@ def _parse_plain(path, label_column, missing):
         return None
     if set(map(str.count, lines, itertools.repeat(","))) != {w - 1}:
         return None
-    if max(map(len, lines)) > csv.field_size_limit():
+    # Only a line over csv.reader's field limit can hold a field over it.
+    limit = csv.field_size_limit()
+    wide = max(map(len, lines)) > limit
+    if wide and max(map(len, header)) > limit:
         return None
     label_idx = header.index(label_column)
     n, p = len(lines) - 1, w - 1
@@ -182,6 +186,8 @@ def _parse_plain(path, label_column, missing):
     for a in range(0, n, step):
         chunk = lines[1 + a : 1 + a + step]
         cells = ",".join(chunk).split(",")
+        if wide and max(map(len, cells)) > limit:
+            return None
         labels += cells[label_idx::w]
         del cells[label_idx::w]
         try:
@@ -271,7 +277,7 @@ def _raise_first_bad_cell(rows, names, missing):
                 float(cell)
             except ValueError:
                 raise ParseError(
-                    f"cannot parse {cell.strip()!r} as a number",
+                    f"cannot parse {cell!r} as a number",
                     row=i + 2,
                     column=names[j],
                 ) from None

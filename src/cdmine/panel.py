@@ -5,7 +5,8 @@ some order, so all such columns share one n x M score table T.  Their label
 correlations are a gather of the labels by each column's sort order and one
 matmul with T.  Columns with ties or missing entries take a batched form of
 the single-column path instead: mid-ranks and tie counts come from the same
-sort, then a two-pass Gram-Schmidt runs under per-column weights 1/n_j.
+sort, then ``score_basis.recurrence_scores`` builds the scores of the whole
+batch under per-column weights 1/n_j, as it does for a single column.
 Which path a column takes depends only on whether it is complete and
 tie-free.
 
@@ -24,7 +25,7 @@ import numpy as np
 from .dataset import ColumnMatrix
 from .errors import NonFinite
 from .midrank import MidRankVector
-from .score_basis import RESIDUAL_NORM_FLOOR, check_m, feasible_score_basis
+from .score_basis import check_m, feasible_score_basis, recurrence_scores
 
 BLOCK_COLUMNS = 512
 
@@ -154,30 +155,16 @@ def _masked_scores(order, first, present, nj, m):
     """Scores (m, q, n), zero at missing entries, and m_used (q,): the first
     m_used scores of each column are orthonormal under weights 1/n_j."""
     q, n = order.shape
-    nj_ = nj[:, None]
-    present_sorted = np.arange(n) < nj_
+    present_sorted = np.arange(n) < nj[:, None]
     # Tie groups of the present entries: ids, sizes and average ranks.
     gid = np.cumsum(first, axis=1) - 1 + n * np.arange(q)[:, None]
     sizes = np.bincount(gid[present_sorted], minlength=n * q).reshape(q, n)
     half_rank = np.cumsum(sizes, axis=1) - sizes / 2.0  # average rank - 1/2
     u = np.zeros((q, n))
     np.put_along_axis(u, order, half_rank.ravel()[gid] * present_sorted, axis=1)
-    u /= nj_
+    u /= nj[:, None]
     sigma = np.sqrt(np.maximum((1.0 - (sizes**3.0).sum(axis=1) / nj**3.0) / 12.0, 0.0))
     w = present.astype(float)
     s1 = (u - 0.5) / sigma[:, None] * w
-
-    scores = np.zeros((m, q, n))
-    scores[0] = s1
-    m_used = np.minimum(m, nj - 2)
-    for k in range(2, m + 1):
-        v = s1**k
-        for _ in range(2):  # re-orthogonalization pass
-            v = v - w * (v.sum(axis=1, keepdims=True) / nj_)
-            for j in range(k - 1):
-                c = np.einsum("ij,ij->i", scores[j], v)[:, None] / nj_
-                v = v - c * scores[j]
-        norm = np.sqrt(np.einsum("ij,ij->i", v, v) / nj)
-        m_used = np.where(norm < RESIDUAL_NORM_FLOOR, np.minimum(m_used, k - 1), m_used)
-        scores[k - 1] = v / np.where(norm > 0.0, norm, 1.0)[:, None]
+    scores, m_used, _, _ = recurrence_scores(s1, w, nj, m)
     return scores, m_used

@@ -18,6 +18,7 @@ from .cdfdr import (
     FdrResult,
     NullMethod,
     cdfdr_pipeline,
+    chi2_logsf,
     cr_to_z,
 )
 from .comp_density import CdEstimate, TwoSampleData, cd_estimate, estimate_cd
@@ -219,12 +220,14 @@ def write_json(path, payload):
 
 def write_ranked_csv(report: AnalysisReport, path):
     """One row per variable in rank order, written column by column from
-    the report arrays."""
+    the report arrays.  The trailing log10_pvalue is taken in log space, so
+    it stays finite where pvalue underflows to 0."""
     m = report.m
     header = (
         ["variable_id", "n_effective"]
         + [f"R{a}" for a in range(1, m + 1)]
         + ["CR", "pvalue", "category", "rank", "flag", "z", "inverse_fdr", "selected"]
+        + ["log10_pvalue"]
     )
     order = report.order
     by_rank = order.tolist()
@@ -249,6 +252,12 @@ def write_ranked_csv(report: AnalysisReport, path):
         fields += [NUMBER_FORMAT, NUMBER_FORMAT, "%d"]
     else:
         fields += ["", "", "0"]
+    panel = report.panel
+    ok = panel.m_used > 0
+    log_p = np.zeros(report.cr.size)
+    log_p[ok] = chi2_logsf(panel.n_effective[ok] * report.cr[ok], panel.m_used[ok])
+    columns.append((log_p[order] / np.log(10.0)).tolist())
+    fields.append(NUMBER_FORMAT)
     write_table(path, header, columns, fields)
 
 

@@ -1,12 +1,12 @@
-"""Orthonormal score functions built from powers of the centered mid-rank.
+"""Orthonormal score functions: polynomials in the centered mid-rank.
 
 S1(u) = (u - 0.5) / sigma_mid has zero mean and unit variance under the
-empirical measure of the pooled sample.  Higher scores come from
-Gram-Schmidt on S1^2, ..., S1^M with the empirical inner product
-(1/n) sum_i f(u_i) g(u_i), orthogonalized against the constant as well.
-A second orthogonalization pass keeps the Gram matrix near identity for
-M up to 6.  Each score is also carried as a polynomial in u so curves can
-be drawn on an arbitrary grid.
+empirical measure of the pooled sample, whose inner product is
+(1/n) sum_i f(u_i) g(u_i).  The higher scores are that measure's
+orthonormal polynomials, built by the three-term recurrence of the
+Stieltjes procedure in ``recurrence_scores``, the one basis builder.  A
+basis keeps sigma_mid and its recurrence coefficients, so its curves can
+be drawn on any grid by the same recurrence.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import ConfigError, DegenerateVariable, OutOfDomain, RankDeficient
 from .midrank import MidRankVector
@@ -29,13 +28,16 @@ DEFAULT_M = 4
 class ScoreBasis:
     """M orthonormal score functions tied to one pooled mid-rank sample.
 
-    score_matrix[i, k-1] = S_k(u_i); poly_coeffs[k-1] holds the ascending
-    polynomial coefficients of S_k in the variable u (degree <= M).
+    score_matrix[i, k-1] = S_k(u_i).  S1 = (u - 0.5) / sigma_mid, and the
+    recurrence coefficients are a[k-1] = a_k (k < M) and b[k-1] = b_k
+    (k <= M).
     """
 
     m: int
     score_matrix: np.ndarray
-    poly_coeffs: np.ndarray
+    sigma_mid: float
+    a: np.ndarray
+    b: np.ndarray
 
 
 def check_m(m):
@@ -50,8 +52,9 @@ def build_score_basis(mid: MidRankVector, m: int = DEFAULT_M) -> ScoreBasis:
         raise DegenerateVariable("constant column: sigma_mid = 0")
     if mid.n_effective <= m + 1:
         raise RankDeficient(f"need more than {m + 1} observations for m={m}")
-    basis, norm = _orthonormalize(mid, m)
+    basis, b = _basis(mid, m)
     if basis.m < m:
+        norm = np.prod(b[: basis.m + 1])
         raise RankDeficient(
             f"residual norm {norm:.3e} below {RESIDUAL_NORM_FLOOR} at score {basis.m + 1}"
         )
@@ -68,48 +71,54 @@ def feasible_score_basis(mid: MidRankVector, m: int) -> ScoreBasis | None:
     m = min(m, mid.n_effective - 2)
     if m < 1 or mid.sigma_mid <= 0.0:
         return None
-    return _orthonormalize(mid, m)[0]
+    return _basis(mid, m)[0]
 
 
-def _orthonormalize(mid: MidRankVector, m: int):
-    """(basis, residual norm): Gram-Schmidt up to m scores, stopping before
-    the first score whose residual norm is below the floor."""
+def _basis(mid: MidRankVector, m: int):
+    """(basis of up to m scores, b_1..b_m): the one-column case of
+    ``recurrence_scores``."""
     n = mid.n_effective
-    u = np.asarray(mid.u, dtype=float)
-    s1 = (u - 0.5) / mid.sigma_mid
-    s1_poly = np.zeros(m + 1)
-    s1_poly[0] = -0.5 / mid.sigma_mid
-    s1_poly[1] = 1.0 / mid.sigma_mid
+    s1 = (np.asarray(mid.u, dtype=float) - 0.5) / mid.sigma_mid
+    scores, m_used, a, b = recurrence_scores(s1[None], np.ones((1, n)), np.array([n]), m)
+    k = int(m_used[0])
+    basis = ScoreBasis(
+        m=k, score_matrix=scores[:k, 0].T, sigma_mid=mid.sigma_mid, a=a[0, : k - 1], b=b[0, :k]
+    )
+    return basis, b[0]
 
-    cols = np.empty((n, m))
-    polys = np.zeros((m, m + 1))
-    # First score is S1 itself: exactly zero-mean, unit-variance by the
-    # mid-rank mean/variance identities.
-    cols[:, 0] = s1
-    polys[0] = s1_poly
 
-    norm = 1.0
-    for k in range(2, m + 1):
-        v = s1**k
-        poly = _pad(P.polypow(s1_poly[:2], k), m + 1)
-        for _ in range(2):  # re-orthogonalization pass
-            mean = v.mean()
-            v = v - mean
-            poly = poly.copy()
-            poly[0] -= mean
-            for j in range(k - 1):
-                c = cols[:, j] @ v / n
-                v = v - c * cols[:, j]
-                poly = poly - c * polys[j]
-        norm = np.sqrt(v @ v / n)
-        if norm < RESIDUAL_NORM_FLOOR:
-            m = k - 1
-            cols, polys = cols[:, :m], polys[:m, : m + 1]
-            break
-        cols[:, k - 1] = v / norm
-        polys[k - 1] = poly / norm
+def recurrence_scores(s1, w, nj, m: int):
+    """Scores S_1..S_m of q columns by the three-term recurrence
 
-    return ScoreBasis(m=m, score_matrix=cols, poly_coeffs=polys), norm
+        S_{k+1} = ((S1 - a_k) S_k - b_k S_{k-1}) / b_{k+1},   S_0 = w,
+
+    where a_k = <S1 S_k, S_k>, b_1 = 1 and b_{k+1} is the norm of the
+    numerator.  s1 (q, n) is S1 of each column, zero at missing entries; w
+    (q, n) is 1 at the n_j present entries and 0 elsewhere, and a column's
+    inner product is (1/n_j) sum over its entries.  Returns scores (m, q,
+    n), m_used (q,), a (q, m - 1) and b (q, m).  m_used is min(m, n_j - 2),
+    cut before the first S_k whose residual norm b_2 ... b_k is below
+    RESIDUAL_NORM_FLOOR; the scores past it are not orthonormal.
+    """
+    q = s1.shape[0]
+    scores = np.zeros((m,) + s1.shape)
+    scores[0] = s1
+    a = np.zeros((q, m - 1))
+    b = np.ones((q, m))
+    m_used = np.minimum(m, nj - 2)
+    norm = np.ones(q)
+    prev = w
+    for k in range(1, m):
+        cur = scores[k - 1]
+        v = s1 * cur - b[:, k - 1, None] * prev
+        a[:, k - 1] = np.einsum("ij,ij->i", v, cur) / nj
+        v -= a[:, k - 1, None] * cur
+        b[:, k] = np.sqrt(np.einsum("ij,ij->i", v, v) / nj)
+        norm *= b[:, k]
+        m_used = np.where(norm < RESIDUAL_NORM_FLOOR, np.minimum(m_used, k), m_used)
+        scores[k] = v / np.where(b[:, k] > 0.0, b[:, k], 1.0)[:, None]
+        prev = cur
+    return scores, m_used, a, b
 
 
 def evaluate_scores(basis: ScoreBasis, u_new) -> np.ndarray:
@@ -121,11 +130,8 @@ def evaluate_scores(basis: ScoreBasis, u_new) -> np.ndarray:
     arr = np.asarray(u_new, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise OutOfDomain("score functions are defined on the open interval (0, 1)")
-    vals = np.stack([P.polyval(arr, c) for c in basis.poly_coeffs], axis=-1)
-    return vals
-
-
-def _pad(coeffs: np.ndarray, length: int) -> np.ndarray:
-    out = np.zeros(length)
-    out[: len(coeffs)] = coeffs
-    return out
+    s1 = (arr - 0.5) / basis.sigma_mid
+    vals = [np.ones_like(s1), s1]
+    for k in range(1, basis.m):
+        vals.append(((s1 - basis.a[k - 1]) * vals[k] - basis.b[k - 1] * vals[k - 1]) / basis.b[k])
+    return np.stack(vals[1:], axis=-1)

@@ -101,6 +101,15 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["rank", str(path), "--label", "cls", "--out", str(tmp_path / "o")]) == EXIT_PARSE
 
 
+def test_parse_error_quotes_the_cell_as_written(tmp_path, capsys):
+    path = tmp_path / "ctl.csv"
+    path.write_text("a,cls\n1,0\n\x1c1,1\n2,0\n3,1\n")
+    out = tmp_path / "o"
+    assert main(["rank", str(path), "--label", "cls", "--out", str(out)]) == EXIT_PARSE
+    assert "row 3, column 'a': cannot parse '\\x1c1' as a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_duplicate_header_exit_code(tmp_path, capsys):
     path = tmp_path / "dup.csv"
     path.write_text("g1,g1,cls\n1,2,0\n3,4,1\n")
@@ -319,6 +328,13 @@ def test_rank_at_extreme_signal_is_finite_and_silent(tmp_path):
     assert top["variable_id"] == "g0"
     assert top["inverse_fdr"] == "1.7976931348623157e+308"
     assert top["selected"] == "1"
+    # pvalue underflows, and log10_pvalue does not: at 4 df the tail is
+    # exp(-x/2) (1 + x/2).
+    assert top["pvalue"] == "0" and top["flag"] == ""
+    half = n * float(top["CR"]) / 2.0
+    log10_p = float(top["log10_pvalue"])
+    assert np.isfinite(log10_p) and log10_p < -320
+    assert log10_p == pytest.approx((np.log1p(half) - half) / np.log(10.0), rel=1e-12)
 
 
 def write_named_panel(path, names, shifted, n=80, seed=9):

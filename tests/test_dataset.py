@@ -51,6 +51,16 @@ def test_parse_error_carries_location(tmp_path):
     assert err.value.column == "b"
 
 
+@pytest.mark.parametrize("cell", ["\x1c1", "\x1f2.5", " 1 x"])
+def test_a_cell_that_does_not_parse_is_quoted_as_written(tmp_path, cell):
+    # str.strip removes the separators \x1c-\x1f, which float() rejects.
+    path = write(tmp_path, f"a,cls\n1,0\n{cell},1\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(path, label_column="cls")
+    assert f"cannot parse {cell!r} as a number" in str(err.value)
+    assert (err.value.row, err.value.column) == (3, "a")
+
+
 @pytest.mark.parametrize("header", ["a,b,a,cls", "a,cls,b,cls"])
 def test_duplicate_header_name_rejected(tmp_path, header):
     path = write(tmp_path, header + "\n1,2,3,0\n4,5,6,1\n")
@@ -265,7 +275,7 @@ def reference_csv_load(path, label_column, tokens):
                 values[j, i] = float(cell)
             except ValueError:
                 raise ParseError(
-                    f"cannot parse {cell.strip()!r} as a number", row=i + 2, column=names[j]
+                    f"cannot parse {cell!r} as a number", row=i + 2, column=names[j]
                 ) from None
     for j, i in np.argwhere(np.isinf(values)):
         cell = (rows[i][:k] + rows[i][k + 1 :])[j]
@@ -286,7 +296,9 @@ NUMBER_TEXTS = st.one_of(
     st.integers(-(10**6), 10**6).map(str),
     st.sampled_from(["nan", "NaN", "-1.5E-3", "+2", "1_0", ".5", "5.", "-999"]),
 )
-JUNK_CELLS = st.sampled_from(["x", "0x10", "1__0", "_1", "inf", "-Infinity", "1e999"])
+JUNK_CELLS = st.sampled_from(
+    ["x", "0x10", "1__0", "_1", "\x1c1", "inf", "-Infinity", "1e999"]
+)
 
 
 @st.composite
@@ -402,6 +414,35 @@ def test_field_over_the_csv_limit_is_a_located_parse_error(tmp_path, where):
         load_csv(write(tmp_path, "\n".join(lines) + "\n"), label_column="cls")
     assert err.value.row == {"header": 1, "cell": 3, "label": 2}[where]
     assert "field larger than field limit" in str(err.value)
+
+
+@pytest.fixture
+def field_limit_50():
+    old = csv.field_size_limit(50)
+    yield 50
+    csv.field_size_limit(old)
+
+
+def test_a_line_over_the_csv_limit_with_short_fields_takes_the_plain_path(
+    tmp_path, monkeypatch, field_limit_50
+):
+    calls = []
+    real = dataset._parse_rows
+    monkeypatch.setattr(dataset, "_parse_rows", lambda *a: calls.append(a) or real(*a))
+    names = [f"g{j}" for j in range(30)]
+    rows = [[f"{i}.{j}" for j in range(30)] + [str(i % 2)] for i in range(4)]
+    text = "\n".join(",".join(r) for r in [names + ["cls"], *rows]) + "\n"
+    assert min(map(len, text.splitlines())) > field_limit_50
+    ds = load_csv(write(tmp_path, text), label_column="cls")
+    assert not calls
+    assert ds.names == names
+    assert ds.variables.values.T.tolist() == [[float(c) for c in r[:-1]] for r in rows]
+
+    big = "1" * (field_limit_50 + 1)
+    with pytest.raises(ParseError) as err:
+        load_csv(write(tmp_path, text.replace("2.7,", big + ",")), label_column="cls")
+    assert (err.value.row, str(err.value)) == (4, "row 4: field larger than field limit (50)")
+    assert len(calls) == 1
 
 
 def test_a_list_of_columns_and_the_matrix_give_the_same_dataset_api(tmp_path):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from cdmine.errors import DegenerateVariable, OutOfDomain, RankDeficient
 from cdmine.midrank import VariableColumn, mid_rank_transform
-from cdmine.score_basis import build_score_basis, evaluate_scores
+from cdmine.score_basis import build_score_basis, evaluate_scores, recurrence_scores
 
 
 def mid_of(values):
@@ -108,7 +109,11 @@ def test_permutation_equivariance():
     np.testing.assert_allclose(
         basis_p.score_matrix, basis.score_matrix[perm], atol=1e-12
     )
-    np.testing.assert_allclose(basis_p.poly_coeffs, basis.poly_coeffs, atol=1e-12)
+    # the same functions of u, not only the same values at the sample
+    grid = np.linspace(0.005, 0.995, 200)
+    np.testing.assert_allclose(
+        evaluate_scores(basis_p, grid), evaluate_scores(basis, grid), atol=1e-12
+    )
 
 
 @settings(deadline=None, max_examples=40)
@@ -127,3 +132,56 @@ def test_orthonormality_with_ties(values, m):
         return
     assert np.abs(gram(basis) - np.eye(m)).max() < 1e-8
     assert np.abs(basis.score_matrix.mean(axis=0)).max() < 1e-10
+
+
+def vandermonde_qr_scores(x, m):
+    """Oracle: S_1..S_m at the entries of x, from a QR factorisation of
+    [1, s, ..., s^m] in the centred mid-rank s, scaled to unit norm under
+    the weights 1/n; the sign of each column is that of the diagonal of R,
+    so each score has a positive leading coefficient."""
+    n = x.size
+    s = (rankdata(x) - 0.5) / n - 0.5
+    q, r = np.linalg.qr(np.vander(s, m + 1, increasing=True) / np.sqrt(n))
+    return (np.sign(np.diag(r)) * q * np.sqrt(n))[:, 1:].T
+
+
+@st.composite
+def tied_batches(draw):
+    """(values (q, n) with NaN at missing cells, m): each column has at
+    least 4 present cells and 2 distinct values, drawn from a few levels."""
+    n = draw(st.integers(4, 40))
+    q = draw(st.integers(1, 6))
+    cols = []
+    for _ in range(q):
+        levels = draw(st.integers(2, 12))
+        x = np.array(draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)), float)
+        holes = draw(st.lists(st.booleans(), min_size=n, max_size=n)) if draw(st.booleans()) else []
+        x[np.flatnonzero(holes)] = np.nan
+        present = x[~np.isnan(x)]
+        if present.size < 4 or np.unique(present).size < 2:
+            x = np.arange(n) % 2.0
+        cols.append(x)
+    return np.array(cols), draw(st.integers(1, 6))
+
+
+@settings(deadline=None, max_examples=300)
+@given(tied_batches())
+def test_recurrence_matches_a_vandermonde_qr(case):
+    values, m = case
+    w = (~np.isnan(values)).astype(float)
+    nj = w.sum(axis=1).astype(int)
+    s1 = np.zeros(values.shape)
+    for j, x in enumerate(values):
+        keep = w[j] > 0
+        s = (rankdata(x[keep]) - 0.5) / nj[j] - 0.5
+        s1[j, keep] = s / np.sqrt(np.mean(s**2))
+    scores, m_used, _, _ = recurrence_scores(s1, w, nj, m)
+    assert scores.shape == (m,) + values.shape
+    assert np.all(scores[:, w == 0] == 0.0)
+    for j, x in enumerate(values):
+        keep = w[j] > 0
+        distinct = np.unique(x[keep]).size
+        assert m_used[j] == min(m, nj[j] - 2, distinct - 1)
+        k = m_used[j]
+        want = vandermonde_qr_scores(x[keep], k)
+        assert np.abs(scores[:k, j][:, keep] - want).max() < 1e-10
