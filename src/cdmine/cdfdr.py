@@ -247,7 +247,11 @@ def cr_to_z(cr, n, m) -> np.ndarray:
     The p-value is taken in log space, so z stays finite and increasing at
     any strength.  n (sample size) and m (integer df) broadcast against cr.
     """
-    log_p = chi2_logsf(np.asarray(n) * np.asarray(cr, dtype=float), m)
+    return log_p_to_z(chi2_logsf(np.asarray(n) * np.asarray(cr, dtype=float), m))
+
+
+def log_p_to_z(log_p) -> np.ndarray:
+    """The z of upper-tail normal probability exp(log_p), clipped at LOG_P_MAX."""
     return -ndtri_exp(np.minimum(log_p, LOG_P_MAX))
 
 

@@ -64,39 +64,40 @@ class ColumnMatrix(Sequence):
         return VariableColumn(values=self.values[i], missing=self.missing[i], name=self.names[i])
 
     @classmethod
-    def stack(cls, cols):
-        """``cols`` itself if it is a ColumnMatrix, else a copy of its
-        ``VariableColumn``s stacked into one."""
-        if isinstance(cols, cls):
-            return cols
-        return cls(
-            np.stack([c.values for c in cols]),
-            np.stack([c.missing for c in cols]),
-            [c.name for c in cols],
-        )
+    def stack(cls, cols, n: int):
+        """Equal-length ``VariableColumn``s copied into one matrix, (0, n) if empty."""
+        values = np.array([c.values for c in cols] or np.empty((0, n)))
+        missing = np.array([c.missing for c in cols] or np.empty((0, n), dtype=bool))
+        return cls(values, missing, [c.name for c in cols])
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Feature columns in header order and a 0/1 label per row.
 
-    ``variables`` is any sequence of ``VariableColumn``s; ``load_csv``
-    gives a ColumnMatrix, whose columns share one (p, n) matrix that the
-    engine reads without a copy.
+    ``variables`` is a ColumnMatrix, which ``load_csv`` gives; a sequence
+    of ``VariableColumn``s is stacked into one when the Dataset is built.
+    n, p and the labels must agree with that matrix.
     """
 
-    variables: Sequence  # VariableColumn
+    variables: ColumnMatrix
     labels: np.ndarray  # 0/1, length n
     positive_label: str
     n: int
     p: int
 
+    def __post_init__(self):
+        if not isinstance(self.variables, ColumnMatrix):
+            object.__setattr__(self, "variables", ColumnMatrix.stack(self.variables, self.n))
+        p, n = self.variables.values.shape
+        if (self.n, self.p, len(self.labels)) != (n, p, n):
+            raise ValueError(f"n = {self.n}, p = {self.p} and {len(self.labels)} labels, "
+                             f"but the matrix is p x n = {p} x {n}")
+
     @property
     def names(self) -> list:
         """Variable names in header order."""
-        if isinstance(self.variables, ColumnMatrix):
-            return list(self.variables.names)
-        return [col.name for col in self.variables]
+        return self.variables.names
 
 
 def load_csv(

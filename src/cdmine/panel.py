@@ -10,10 +10,10 @@ batch under per-column weights 1/n_j, as it does for a single column.
 Which path a column takes depends only on whether it is complete and
 tie-free.
 
-Columns are processed in blocks of BLOCK_COLUMNS, so the temporaries stay
-small next to the dataset itself.  Within a block, arrays hold one column
-per row: a block of a ``ColumnMatrix`` is a slice of its matrix, and a list
-of columns is stacked one block at a time.
+The panel is a ``ColumnMatrix``: one (p, n) value matrix and its missing
+mask.  Columns are processed in blocks of BLOCK_COLUMNS rows of it, so the
+temporaries stay small next to the dataset itself; a block's values and
+mask are slices of the matrix.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ def grid_scores(n: int, m: int):
     return basis.score_matrix if basis is not None and basis.m == m else None
 
 
-def panel_cr(variables, labels, m: int) -> PanelCr:
-    """CR components with up to m >= 1 scores of every column of a panel,
-    given as a ``ColumnMatrix`` or a sequence of ``VariableColumn``s.
+def panel_cr(variables: ColumnMatrix, labels, m: int) -> PanelCr:
+    """CR components with up to m >= 1 scores of every column of the
+    ``ColumnMatrix`` ``variables``.
 
     Complete, tie-free columns take the shared ``grid_scores`` table, or
     the masked path when it has fewer than m scores.  A non-missing NaN or
@@ -75,43 +75,36 @@ def panel_cr(variables, labels, m: int) -> PanelCr:
         flags=[""] * p,
     )
     for start in range(0, p, BLOCK_COLUMNS):
-        x, present, names = _block_arrays(variables[start : start + BLOCK_COLUMNS])
-        _block(x, present, names, y, m, table, out, start)
+        _block(variables[start : start + BLOCK_COLUMNS], y, m, table, out, start)
     return out
 
 
-def _block_arrays(cols):
-    """(values with NaN at the missing entries, present mask, names) of a
-    block.  A list of columns is stacked here, so that its copy is freed
-    before the block is sorted."""
-    cols = ColumnMatrix.stack(cols)
-    present = ~cols.missing
-    return np.where(present, cols.values, np.nan), present, cols.names
-
-
-def _block(x, present, names, y, m, table, out, start):
+def _block(cols, y, m, table, out, start):
     n = y.size
+    present = ~cols.missing
+    x = np.where(present, cols.values, np.nan)
     nj = present.sum(axis=1)
     n1 = present @ y
     bad = np.flatnonzero((nj >= 2) & (present & ~np.isfinite(x)).any(axis=1))
     if bad.size:
-        raise NonFinite(f"variable {names[bad[0]]!r}: non-missing NaN or infinite value")
+        raise NonFinite(f"variable {cols.names[bad[0]]!r}: non-missing NaN or infinite value")
 
     order = np.argsort(x, axis=1)  # missing (NaN) entries last
     xs = np.take_along_axis(x, order, axis=1)
     first = np.ones(x.shape, dtype=bool)  # sorted entry starts a new distinct value
     first[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    del x, xs  # two (q, n) copies, freed before the gathers below to lower the block's peak
     present_sorted = np.arange(n) < nj[:, None]
     distinct = (first & present_sorted).sum(axis=1)
 
-    flags = np.full(len(names), "", dtype=object)
+    flags = np.full(len(cols), "", dtype=object)
     flags[(n1 < 2) | (nj - n1 < 2)] = "class-too-small"
     flags[distinct == 1] = "constant"
     flags[nj < 2] = "all-missing"
     ok = flags == ""
     shared = ok & (nj == n) & (distinct == n) & (table is not None)
-    comps = out.components[start : start + len(names)]
-    m_used = out.m_used[start : start + len(names)]
+    comps = out.components[start : start + len(cols)]
+    m_used = out.m_used[start : start + len(cols)]
 
     if shared.any():
         # Complete and tie-free: the score of the entry of rank r is T[r - 1].
@@ -131,8 +124,8 @@ def _block(x, present, names, y, m, table, out, start):
         reduced = masked[(m_used[masked] >= 1) & (m_used[masked] < m)]
         flags[reduced] = [f"reduced-m:{k}" for k in m_used[reduced]]
 
-    out.n_effective[start : start + len(names)] = nj
-    out.flags[start : start + len(names)] = flags.tolist()
+    out.n_effective[start : start + len(cols)] = nj
+    out.flags[start : start + len(cols)] = flags.tolist()
 
 
 def _masked(order, first, present, nj, n1, y, m):

@@ -19,7 +19,7 @@ from .cdfdr import (
     NullMethod,
     cdfdr_pipeline,
     chi2_logsf,
-    cr_to_z,
+    log_p_to_z,
 )
 from .comp_density import CdEstimate, TwoSampleData, cd_estimate, estimate_cd
 from .cr import CrResult, categorize_rows, cr_result, null_pvalue, rank_variables
@@ -57,16 +57,21 @@ class AnalysisReport:
     ``variable`` build ``VariableAnalysis`` objects only when asked.
     """
 
-    names: list  # variable names, input order
     panel: PanelCr  # components, n_effective, m_used and flags
     cr: np.ndarray
     pvalue: np.ndarray
+    log_pvalue: np.ndarray  # chi-square log tail, 0 when flagged; z comes from it
     categories: list
     order: np.ndarray
     fdr: FdrResult | None  # None when too few variables for the fdr stage
     m: int
     fdr_level: float
     dataset: Dataset
+
+    @property
+    def names(self) -> list:
+        """Variable names, input order."""
+        return self.dataset.names
 
     def variable(self, i: int) -> VariableAnalysis:
         """The CR result of the variable at input position i."""
@@ -154,24 +159,24 @@ def analyze(
     config = FdrConfig(fdr_level=fdr_level, null_method=null_method, sides="right")
     if not dataset.variables:
         raise TooFewItems("no variables to analyze")
-    labels = np.asarray(dataset.labels)
-    panel = panel_cr(dataset.variables, labels, m)
+    panel = panel_cr(dataset.variables, dataset.labels, m)
     cr = (panel.components**2).sum(axis=1)
     ok = panel.m_used > 0
     pvalue = np.ones(cr.size)
     pvalue[ok] = null_pvalue(cr[ok], panel.n_effective[ok], panel.m_used[ok])
+    log_pvalue = np.zeros(cr.size)
+    log_pvalue[ok] = chi2_logsf(panel.n_effective[ok] * cr[ok], panel.m_used[ok])
 
     fdr = None
     if cr.size >= MIN_FDR_ITEMS:
         # A one-sided z per variable through its own chi-square df keeps
         # reduced-df columns comparable; flagged columns sit at p = 1.
-        z = cr_to_z(cr, panel.n_effective, np.maximum(panel.m_used, 1))
-        fdr = cdfdr_pipeline(z, config)
+        fdr = cdfdr_pipeline(log_p_to_z(log_pvalue), config)
     return AnalysisReport(
-        names=dataset.names,
         panel=panel,
         cr=cr,
         pvalue=pvalue,
+        log_pvalue=log_pvalue,
         categories=categorize_rows(panel.components),
         order=rank_variables(cr),
         fdr=fdr,
@@ -232,7 +237,7 @@ def write_ranked_csv(report: AnalysisReport, path):
     order = report.order
     by_rank = order.tolist()
     columns = [
-        [report.names[i] for i in by_rank],
+        list(map(report.names.__getitem__, by_rank)),
         report.panel.n_effective[order].tolist(),
         *report.panel.components[order].T.tolist(),
         report.cr[order].tolist(),
@@ -252,11 +257,7 @@ def write_ranked_csv(report: AnalysisReport, path):
         fields += [NUMBER_FORMAT, NUMBER_FORMAT, "%d"]
     else:
         fields += ["", "", "0"]
-    panel = report.panel
-    ok = panel.m_used > 0
-    log_p = np.zeros(report.cr.size)
-    log_p[ok] = chi2_logsf(panel.n_effective[ok] * report.cr[ok], panel.m_used[ok])
-    columns.append((log_p[order] / np.log(10.0)).tolist())
+    columns.append((report.log_pvalue[order] / np.log(10.0)).tolist())
     fields.append(NUMBER_FORMAT)
     write_table(path, header, columns, fields)
 
@@ -307,7 +308,7 @@ def export_plots(
     write_table(
         path,
         ["rank", "variable_id", "cr"],
-        [rank.tolist(), [report.names[i] for i in report.order.tolist()],
+        [rank.tolist(), list(map(report.names.__getitem__, report.order.tolist())),
          sorted_cr.tolist()],
         ["%d", "%s", NUMBER_FORMAT],
     )

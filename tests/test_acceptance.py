@@ -15,7 +15,7 @@ from scipy.stats import chi2, kstest, rankdata
 import cdmine as c
 from cdmine import panel
 from cdmine.cdfdr import FdrConfig, cdfdr_pipeline, cr_to_z
-from cdmine.dataset import Dataset
+from cdmine.dataset import ColumnMatrix, Dataset
 from cdmine.midrank import VariableColumn
 from cdmine.panel import panel_cr
 from cdmine.pipeline import analyze, write_ranked_csv
@@ -155,7 +155,7 @@ def test_criterion_1_engine_identity_in_both_paths():
         n = int(rng.integers(20, 200))
         y = balanced_labels(rng, n)
         cols = engine_columns(rng, n, 40)
-        out = panel_cr(cols, y, 4)
+        out = panel_cr(ColumnMatrix.stack(cols, n), y, 4)
         for j, col in enumerate(cols):
             k = out.m_used[j]
             if k == 0:
@@ -220,7 +220,7 @@ def test_engine_identities_at_m_7_and_8():
             n = int(rng.integers(60, 200))
             y = balanced_labels(rng, n)
             cols = engine_columns(rng, n, 40)
-            out = panel_cr(cols, y, m)
+            out = panel_cr(ColumnMatrix.stack(cols, n), y, m)
             for j, col in enumerate(cols):
                 k = out.m_used[j]
                 keep = ~col.missing
@@ -274,7 +274,7 @@ def test_criterion_3_engine_null_calibration():
     holes = rng.random((n, p // 4)) < 0.05
     X[:, 3 * p // 4 :][holes] = np.nan
     cols = [VariableColumn.from_values(X[:, j], name=f"v{j}") for j in range(p)]
-    out = panel_cr(cols, y, 4)
+    out = panel_cr(ColumnMatrix.stack(cols, n), y, 4)
     cr = (out.components**2).sum(axis=1)
     ncr = out.n_effective * cr
     pvals = c.null_pvalue(cr, out.n_effective, 4)
@@ -293,13 +293,13 @@ def test_criterion_4_engine_monotone_invariance_in_both_paths():
         n = int(rng.integers(20, 200))
         y = balanced_labels(rng, n)
         cols = engine_columns(rng, n, 40)
-        base = panel_cr(cols, y, 4)
+        base = panel_cr(ColumnMatrix.stack(cols, n), y, 4)
         for f in (np.exp, np.arctan, lambda v: 3.0 * v - 1.0):
             moved = [VariableColumn(values=f(col.values), missing=col.missing) for col in cols]
             for col, mv in zip(cols, moved):
                 keep = ~col.missing
                 assert np.array_equal(rankdata(col.values[keep]), rankdata(mv.values[keep]))
-            out = panel_cr(moved, y, 4)
+            out = panel_cr(ColumnMatrix.stack(moved, n), y, 4)
             ok = ok and np.array_equal(out.components, base.components)
             ok = ok and np.array_equal(out.m_used, base.m_used) and out.flags == base.flags
     elapsed = time.time() - start

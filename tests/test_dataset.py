@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cdmine import dataset
 from cdmine.dataset import ColumnMatrix, Dataset, load_csv
 from cdmine.errors import LabelError, ParseError
+from cdmine.midrank import VariableColumn
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -451,11 +452,31 @@ def test_a_list_of_columns_and_the_matrix_give_the_same_dataset_api(tmp_path):
     listed = Dataset(variables=list(ds.variables), labels=ds.labels,
                      positive_label=ds.positive_label, n=ds.n, p=ds.p)
     assert ds.names == listed.names == ["a", "b"]
+    assert listed.names is listed.variables.names
     assert [c.name for c in ds.variables[1:]] == ["b"]
-    assert ColumnMatrix.stack(ds.variables) is ds.variables
-    stacked = ColumnMatrix.stack(listed.variables)
-    np.testing.assert_array_equal(stacked.values, ds.variables.values)
-    np.testing.assert_array_equal(stacked.missing, ds.variables.missing)
+    assert isinstance(listed.variables, ColumnMatrix)
+    np.testing.assert_array_equal(listed.variables.values, ds.variables.values)
+    np.testing.assert_array_equal(listed.variables.missing, ds.variables.missing)
+    empty = Dataset(variables=[], labels=ds.labels, positive_label="1", n=ds.n, p=0)
+    assert empty.variables.values.shape == empty.variables.missing.shape == (0, ds.n)
+
+
+def gaussian_columns(n, p):
+    rng = np.random.default_rng(3)
+    return [VariableColumn.from_values(rng.normal(size=n), name=f"v{j}") for j in range(p)]
+
+
+@pytest.mark.parametrize("variables", [list, lambda cols: ColumnMatrix.stack(cols, 40)])
+@pytest.mark.parametrize(
+    "n, p, k",
+    [(999, 3, 999), (999, 25, 999), (40, 3, 40), (39, 25, 39), (40, 25, 39), (40, 25, 41)],
+)
+def test_sizes_or_labels_that_disagree_with_the_columns_are_rejected(variables, n, p, k):
+    """The columns are 40 long and there are 25 of them; k is the label count."""
+    cols = variables(gaussian_columns(40, 25))
+    message = rf"^n = {n}, p = {p} and {k} labels, but the matrix is p x n = 25 x 40$"
+    with pytest.raises(ValueError, match=message):
+        Dataset(variables=cols, labels=np.arange(k) % 2, positive_label="1", n=n, p=p)
 
 
 def test_load_peak_memory_stays_near_the_value_matrix(tmp_path):

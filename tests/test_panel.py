@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmine import panel
-from cdmine.dataset import Dataset
+from cdmine.dataset import ColumnMatrix, Dataset, load_csv
 from cdmine.errors import ConfigError, NonFinite
 from cdmine.midrank import VariableColumn
 from cdmine.pipeline import analyze, analyze_variable
@@ -124,6 +124,40 @@ def test_blocks_of_the_real_size_are_crossed():
     assert report.fdr is not None
 
 
+def test_a_list_built_and_a_loaded_panel_give_the_same_analysis(tmp_path):
+    """The same CSV as a list of columns and through ``load_csv``: ties, NA
+    cells, constant columns and more than one block."""
+    rng = np.random.default_rng(8)
+    kinds = ["rounded", "binary", "constant", "all-missing"] + list(
+        rng.choice(KINDS, size=panel.BLOCK_COLUMNS + 37)
+    )
+    listed = make_panel(30, 13, kinds, 0.1, 8)
+    cells = np.where(listed.variables.missing, "NA", listed.variables.values.astype(str))
+    rows = [listed.names + ["cls"]]
+    rows += [list(row) + [str(label)] for row, label in zip(cells.T, listed.labels)]
+    path = tmp_path / "panel.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    loaded = load_csv(path, label_column="cls")
+    assert loaded.names == listed.names
+    np.testing.assert_array_equal(loaded.labels, listed.labels)
+    np.testing.assert_array_equal(loaded.variables.missing, listed.variables.missing)
+    np.testing.assert_array_equal(
+        loaded.variables.values,
+        np.where(listed.variables.missing, np.nan, listed.variables.values),
+    )
+
+    a, b = analyze(listed), analyze(loaded)
+    assert a.panel.flags == b.panel.flags
+    assert {"constant", "all-missing"} <= set(a.panel.flags)
+    for got, want, fields in [
+        (a.panel, b.panel, ("components", "n_effective", "m_used")),
+        (a.fdr, b.fdr, ("z", "inverse_fdr", "selected")),
+        (a, b, ("cr", "pvalue", "log_pvalue", "order")),
+    ]:
+        for field in fields:
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field), field)
+
+
 def test_both_paths_agree_on_a_complete_tie_free_column():
     rng = np.random.default_rng(6)
     n = 50
@@ -156,4 +190,4 @@ def test_non_missing_inf_is_a_located_error():
 def test_m_below_one_is_a_config_error():
     col = VariableColumn.from_values(np.arange(30.0), name="a")
     with pytest.raises(ConfigError, match="m must be >= 1"):
-        panel.panel_cr([col], np.arange(30) % 2, 0)
+        panel.panel_cr(ColumnMatrix.stack([col], 30), np.arange(30) % 2, 0)

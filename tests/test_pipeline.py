@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from cdmine.cdfdr import cr_to_z, log_p_to_z
 from cdmine.dataset import Dataset
 from cdmine.errors import ConfigError, TooFewItems
 from cdmine.midrank import VariableColumn
@@ -113,6 +114,14 @@ def test_every_variable_reported_once_with_flags():
     assert flags["v1"] == "all-missing"
     assert flags["v2"].startswith("reduced-m:")
     assert report.cr[report.names.index("v0")] == 0.0
+    # One log tail serves z and log10_pvalue; a flagged row sits at p = 1.
+    flagged = report.panel.m_used == 0
+    assert flagged.sum() == 2 and (report.log_pvalue[flagged] == 0.0).all()
+    np.testing.assert_array_equal(report.fdr.z, log_p_to_z(report.log_pvalue))
+    np.testing.assert_array_equal(
+        report.fdr.z, cr_to_z(report.cr, report.panel.n_effective,
+                              np.maximum(report.panel.m_used, 1))
+    )
 
 
 def test_fdr_skipped_below_minimum_panel():
