@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .cdfdr import FdrConfig, NullMethod, cdfdr_pipeline, check_fdr_level, cr_to_z
-from .dataset import DEFAULT_MISSING_TOKENS, csv_rows, load_csv, open_text
+from .dataset import DEFAULT_MISSING_TOKENS, csv_rows, load_csv, utf8_fault
 from .errors import CdmineError, ConfigError, LabelError, ParseError
 from .pipeline import (
     DEFAULT_TOP_K,
@@ -195,31 +195,31 @@ def cmd_fdr(args) -> int:
         sides=args.sides,
         weight_mode=args.weight_mode,
     )
-    with open_text(args.csv, newline="") as fh:
-        reader = csv_rows(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty file", row=1)
-        if args.col not in header:
-            raise ConfigError(f"column {args.col!r} not in header")
-        idx = header.index(args.col)
-        id_idx = 0 if idx != 0 else None
-        ids, scores = [], []
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row has {len(row)} fields, expected {len(header)}", row=i + 2
-                )
-            try:
-                score = float(row[idx])
-            except ValueError:
-                score = math.nan
-            if not math.isfinite(score):
-                raise ParseError(
-                    f"score {row[idx]!r} is not a finite number", row=i + 2, column=args.col
-                )
-            scores.append(score)
-            ids.append(row[id_idx] if id_idx is not None else str(i))
+    rows = csv_rows(args.csv)
+    header = next(rows, None)
+    if header is None:
+        raise ParseError("empty file", row=1)
+    if args.col not in header:
+        raise ConfigError(f"column {args.col!r} not in header")
+    idx = header.index(args.col)
+    id_idx = 0 if idx != 0 else None
+    ids, scores = [], []
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(f"row has {len(row)} fields, expected {len(header)}", row=i + 2)
+        try:
+            score = float(row[idx])
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise ParseError(
+                f"score {row[idx]!r} is not a finite number", row=i + 2, column=args.col
+            )
+        if args.input_kind == "cr" and score < 0:
+            # A CR is a sum of squares.
+            raise ParseError(f"CR {row[idx]!r} is negative", row=i + 2, column=args.col)
+        scores.append(score)
+        ids.append(row[id_idx] if id_idx is not None else str(i))
     z = np.array(scores)
     if args.input_kind == "cr":
         z = cr_to_z(z, args.n, args.M)
@@ -244,10 +244,11 @@ def apply_config_file(args, path) -> dict:
     Returns the line number of each key the file set.
     """
     try:
-        with open_text(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.readlines()
-    except ParseError as exc:
-        raise ConfigError(f"{path}:{exc.row}: {exc.reason}") from None
+    except UnicodeDecodeError:
+        fault = utf8_fault(path)
+        raise ConfigError(f"{path}:{fault.row}: {fault.reason}") from None
     lines = {}
     for lineno, line in enumerate(text, 1):
         line = line.strip()

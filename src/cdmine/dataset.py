@@ -3,7 +3,6 @@ binary label."""
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
 import re
@@ -22,27 +21,6 @@ CHUNK_CELLS = 2**16
 _PLAIN_BYTES = b"\n" + bytes(range(0x21, 0x7F)).replace(b'"', b"")
 # Line ends as Python's universal newlines read them.
 _LINE_END = re.compile(rb"\r\n?|\n")
-
-
-@contextlib.contextmanager
-def open_text(path, newline=None):
-    """``path`` opened for reading as UTF-8.  A byte that does not decode,
-    met anywhere in the ``with`` block, is a ParseError whose row is the line
-    of the file that holds it."""
-    with open(path, "r", encoding="utf-8", newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            with open(path, "rb") as raw:
-                data = raw.read()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line = 1 + len(_LINE_END.findall(data, 0, exc.start))
-                raise ParseError(
-                    f"byte 0x{data[exc.start]:02x} is not valid UTF-8", row=line
-                ) from None
-            raise
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +43,12 @@ class ColumnMatrix(Sequence):
 
     @classmethod
     def stack(cls, cols, n: int):
-        """Equal-length ``VariableColumn``s copied into one matrix, (0, n) if empty."""
+        """Equal-length ``VariableColumn``s copied into one matrix, (0, n) if
+        empty; unequal lengths are a ValueError naming the first column whose
+        length is not n."""
+        if len({len(c.values) for c in cols}) > 1:
+            bad = next(c for c in cols if len(c.values) != n)
+            raise ValueError(f"column {bad.name!r} has {len(bad.values)} values, not n = {n}")
         values = np.array([c.values for c in cols] or np.empty((0, n)))
         missing = np.array([c.missing for c in cols] or np.empty((0, n), dtype=bool))
         return cls(values, missing, [c.name for c in cols])
@@ -202,15 +185,14 @@ def _parse_plain(path, label_column, missing):
 
 
 def _parse_rows(path, label_column, missing):
-    """(names, values (p, n), labels) of any file, read by ``csv.reader``;
-    every fault is a located ParseError or a LabelError."""
-    with open_text(path, newline="") as fh:
-        reader = csv_rows(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", row=1) from None
-        rows = list(reader)
+    """(names, values (p, n), labels) of any file, read by ``csv_rows``; each
+    fault is a located ParseError or a LabelError, in the order ``load_csv``
+    gives.  The rows stay as read: labels come from the cell list by stride."""
+    rows = csv_rows(path)
+    header = next(rows, None)
+    if header is None:
+        raise ParseError("empty file", row=1)
+    rows = list(rows)
     seen = set()
     for name in header:
         if name in seen:
@@ -221,64 +203,78 @@ def _parse_rows(path, label_column, missing):
     label_idx = header.index(label_column)
     names = header[:label_idx] + header[label_idx + 1 :]
 
-    n, p = len(rows), len(names)
+    n, p, w = len(rows), len(names), len(header)
     if n == 0:
         raise ParseError("no data rows", row=2)
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            _raise_first_bad_cell(
-                [r[:label_idx] + r[label_idx + 1 :] for r in rows[:i]], names, missing
-            )
-            raise ParseError(
-                f"row has {len(row)} fields, expected {len(header)}", row=i + 2
-            )
-    raw_labels = [row.pop(label_idx).strip() for row in rows]
+    if any(len(row) != w for row in rows):
+        _raise_first_fault(rows, header, label_idx, missing)
+    raw = list(itertools.chain.from_iterable(rows))
+    raw_labels = list(map(str.strip, raw[label_idx::w]))
+    del raw[label_idx::w]
     # A missing cell becomes "nan": first where its stripped form is a token,
     # then, if some token has surrounding whitespace, where it is one as written.
-    cells = list(itertools.chain.from_iterable(rows))
     to_nan = dict.fromkeys(missing, "nan")
-    cells = list(map(to_nan.get, map(str.strip, cells), cells))
+    cells = list(map(to_nan.get, map(str.strip, raw), raw))
     if any(t != t.strip() for t in missing):
-        cells = list(map(to_nan.get, itertools.chain.from_iterable(rows), cells))
+        cells = list(map(to_nan.get, raw, cells))
+    del raw
     try:
         flat = np.fromiter(map(float, cells), dtype=float, count=n * p)
     except ValueError:
-        _raise_first_bad_cell(rows, names, missing)
+        _raise_first_fault(rows, header, label_idx, missing)
         raise
     X = np.ascontiguousarray(flat.reshape(n, p).T)
     isinf = np.isinf(X)
     if isinf.any():
         j, i = np.argwhere(isinf)[0]
-        raise ParseError(
-            f"infinite value {rows[i][j].strip()!r}", row=int(i) + 2, column=names[j]
-        )
+        cell = rows[i][j + (j >= label_idx)]
+        raise ParseError(f"infinite value {cell.strip()!r}", row=int(i) + 2, column=names[j])
     return names, X, raw_labels
 
 
-def csv_rows(fh):
-    """The records of an open CSV file, as ``csv.reader`` reads them; a
-    record it cannot read, such as one with a field longer than
-    ``csv.field_size_limit()``, is a ParseError at that record's row."""
-    row = 0
-    try:
-        for row, record in enumerate(csv.reader(fh), 1):
-            yield record
-    except csv.Error as exc:
-        raise ParseError(str(exc), row=row + 1) from None
-
-
-def _raise_first_bad_cell(rows, names, missing):
-    """Raise a located ParseError at the first feature cell, in file order,
-    that is neither missing nor a number; ``rows`` hold feature cells only."""
-    for i, row in enumerate(rows):
+def _raise_first_fault(rows, header, label_idx, missing):
+    """Raise a located ParseError at the first fault of ``rows`` in file
+    order: a row whose field count is not the header's, or else one of its
+    feature cells that is neither missing nor a number."""
+    for i, row in enumerate(rows, 2):
+        if len(row) != len(header):
+            raise ParseError(f"row has {len(row)} fields, expected {len(header)}", row=i)
         for j, cell in enumerate(row):
-            if cell in missing or cell.strip() in missing:
+            if j == label_idx or cell in missing or cell.strip() in missing:
                 continue
             try:
                 float(cell)
             except ValueError:
                 raise ParseError(
-                    f"cannot parse {cell!r} as a number",
-                    row=i + 2,
-                    column=names[j],
+                    f"cannot parse {cell!r} as a number", row=i, column=header[j]
                 ) from None
+
+
+def csv_rows(path):
+    """The records of the CSV file at ``path``, opened as UTF-8 and read by
+    ``csv.reader``.  A record it cannot read, such as one with a field
+    longer than ``csv.field_size_limit()``, is a ParseError at that
+    record's row; a byte that is not UTF-8 is one at the line that holds it
+    (``utf8_fault``)."""
+    row = 0
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            for row, record in enumerate(csv.reader(fh), 1):
+                yield record
+    except csv.Error as exc:
+        raise ParseError(str(exc), row=row + 1) from None
+    except UnicodeDecodeError:
+        raise utf8_fault(path) from None
+
+
+def utf8_fault(path) -> ParseError:
+    """The ParseError for a file that does not decode as UTF-8: its row is
+    the line that holds the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + len(_LINE_END.findall(data, 0, exc.start))
+        return ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", row=line)
+    return ParseError("file changed while it was read")

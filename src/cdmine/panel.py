@@ -132,7 +132,9 @@ def _masked(order, first, present, nj, n1, y, m):
     """Components (q, m) and m_used (q,) of q non-degenerate columns with
     ties or missing entries.  ``first`` marks, in each column's sort order,
     the entries that start a new distinct value."""
-    scores, m_used = _masked_scores(order, first, present, nj, m)
+    # No column has more than n_j - 2 scores; components past them stay 0.
+    k = min(m, int(nj.max()) - 2)
+    scores, m_used = _masked_scores(order, first, present, nj, k)
     # Same centring and scaling as cr.component_correlations.
     pi = n1 / nj
     mean_s = scores.sum(axis=2) / nj
@@ -140,8 +142,8 @@ def _masked(order, first, present, nj, n1, y, m):
     sd_s = np.sqrt(np.maximum((scores**2).sum(axis=2) / nj - mean_s**2, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         r = cov / (np.sqrt(pi * (1.0 - pi)) * sd_s)
-    r = np.where(np.arange(len(r))[:, None] < m_used, r, 0.0)
-    return r.T, m_used
+    r = np.where(np.arange(k)[:, None] < m_used, r, 0.0)
+    return np.pad(r.T, ((0, 0), (0, m - k))), m_used
 
 
 def _masked_scores(order, first, present, nj, m):

@@ -50,6 +50,13 @@ class SimConfig:
             raise ConfigError("runs must be >= 1", ("runs",))
         if self.signal_model not in SIGNAL_MODELS:
             raise ConfigError(f"unknown signal model {self.signal_model!r}")
+        if self.signal_model == "gaussian-shift" and not np.isfinite(self.mu):
+            raise ConfigError(f"mu must be finite, got {self.mu}", ("mu",))
+        band = np.isfinite([self.lo, self.hi]).all() and self.lo <= self.hi
+        if self.signal_model == "uniform-band" and not band:
+            raise ConfigError(
+                f"lo = {self.lo} and hi = {self.hi} must be finite, with lo <= hi", ("lo", "hi")
+            )
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ConfigError(f"unknown methods {sorted(unknown)}")

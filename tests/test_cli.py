@@ -219,6 +219,21 @@ def test_fdr_non_finite_score_is_located(tmp_path, capsys, cell):
     assert not out.exists()
 
 
+def test_fdr_negative_cr_is_located_and_silent(tmp_path, capsys):
+    values = [f"{v:.3f}" for v in np.linspace(0, 0.5, 30)]
+    values[2] = "-0.1"
+    path = write_scores(tmp_path / "cr.csv", values, col="cr")
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fdr", str(path), "--col", "cr", "--input-kind", "cr", "--n", "50",
+                     "--out", str(out)])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == "parse error: row 4, column 'cr': CR '-0.1' is negative\n"
+    assert not out.exists()
+
+
 def test_rank_inf_cell_is_a_located_parse_error(tmp_path, capsys):
     path = tmp_path / "inf.csv"
     path.write_text("a,b,cls\n1,2,0\n3,inf,1\n5,6,0\n7,8,1\n")
@@ -304,6 +319,43 @@ def test_simulate_config_rejects_what_it_cannot_apply(tmp_path, capsys, text, me
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--mu", "nan"], "mu must be finite, got nan"),
+        (["--mu", "inf"], "mu must be finite, got inf"),
+        (["--model", "uniform-band", "--lo", "4", "--hi", "2"],
+         "lo = 4.0 and hi = 2.0 must be finite, with lo <= hi"),
+        (["--model", "uniform-band", "--lo", "nan"],
+         "lo = nan and hi = 4.0 must be finite, with lo <= hi"),
+        (["--model", "uniform-band", "--hi", "inf"],
+         "lo = 2.0 and hi = inf must be finite, with lo <= hi"),
+    ],
+)
+def test_simulate_signal_settings_out_of_range(tmp_path, capsys, flags, message):
+    out = tmp_path / "s"
+    code = main(["simulate", *flags, "--runs", "2", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("runs=2\nmu=nan\n", "sim.cfg:2: mu must be finite"),
+        ("model=uniform-band\nlo=4\nhi=2\nruns=2\n", "sim.cfg:3: lo = 4.0 and hi = 2.0"),
+        ("hi=inf\nmodel=uniform-band\n", "sim.cfg:1: lo = 2.0 and hi = inf"),
+    ],
+)
+def test_simulate_config_signal_settings_name_their_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_rank_at_extreme_signal_is_finite_and_silent(tmp_path):

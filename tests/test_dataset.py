@@ -225,12 +225,31 @@ def test_parsed_values_equal_float_of_the_stripped_cell(data):
         ("a,b,cls\n1,inf,0\n-inf,2,1\n", 3, "a"),
         ("a,cls,b\n1,0,1e999\n2,1,-inf\n", 2, "b"),
         ("a,cls,b\n1,0,2\n2,1,inf\n", 3, "b"),
+        # the label cell is never read as a number, wherever its column is
+        ("a,cls,b\n1,x,2\n3,y,z\n", 3, "b"),
+        ("a,cls,b\n1,0,2\n3,1\n4,z,w\n", 3, None),
+        ('"a","cls","b"\r\n"1","0","x"\r\n"2","1"\r\n', 2, "b"),
+        ('"a","cls","b"\r\n"1","0"\r\n"2","1","x"\r\n', 2, None),
     ],
 )
 def test_error_precedence_on_two_faults(tmp_path, text, row, column):
     with pytest.raises(ParseError) as err:
         load_csv(write(tmp_path, text), label_column="cls")
     assert (err.value.row, err.value.column) == (row, column)
+
+
+def test_an_infinite_cell_is_quoted_from_its_own_column(tmp_path):
+    path = write(tmp_path, '"cls","a"\r\n"0"," inf"\r\n"1","2"\r\n')
+    with pytest.raises(ParseError) as err:
+        load_csv(path, label_column="cls")
+    assert str(err.value) == "row 2, column 'a': infinite value 'inf'"
+
+
+def test_csv_rows_locates_a_byte_that_is_not_utf8_by_physical_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b'a,b\r\n"1\r\n2",3\r\ncaf\xe9,4\r\n')
+    with pytest.raises(ParseError, match=r"^row 4: byte 0xe9 is not valid UTF-8$"):
+        list(dataset.csv_rows(path))
 
 
 def test_columns_are_row_views_of_one_matrix(tmp_path):
@@ -477,6 +496,18 @@ def test_sizes_or_labels_that_disagree_with_the_columns_are_rejected(variables, 
     message = rf"^n = {n}, p = {p} and {k} labels, but the matrix is p x n = 25 x 40$"
     with pytest.raises(ValueError, match=message):
         Dataset(variables=cols, labels=np.arange(k) % 2, positive_label="1", n=n, p=p)
+
+
+@pytest.mark.parametrize("n, name", [(5, "b"), (4, "a")])
+def test_columns_of_unequal_length_are_rejected_by_name(n, name):
+    cols = [VariableColumn.from_values(np.arange(5.0), name="a"),
+            VariableColumn.from_values(np.arange(4.0), name="b")]
+    length = {"a": 5, "b": 4}[name]
+    message = rf"^column '{name}' has {length} values, not n = {n}$"
+    with pytest.raises(ValueError, match=message):
+        Dataset(variables=cols, labels=np.arange(n) % 2, positive_label="1", n=n, p=2)
+    with pytest.raises(ValueError, match=message):
+        ColumnMatrix.stack(cols, n)
 
 
 def test_load_peak_memory_stays_near_the_value_matrix(tmp_path):

@@ -1,6 +1,7 @@
 """The batched panel engine behind ``analyze`` against the single-column
 reference path ``analyze_variable``."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -191,3 +192,29 @@ def test_m_below_one_is_a_config_error():
     col = VariableColumn.from_values(np.arange(30.0), name="a")
     with pytest.raises(ConfigError, match="m must be >= 1"):
         panel.panel_cr(ColumnMatrix.stack([col], 30), np.arange(30) % 2, 0)
+
+
+def test_masked_scores_stop_at_the_largest_column_s_n_minus_2():
+    """No column has more than n_j - 2 scores, so M past that adds zero
+    columns of components and no memory."""
+    rng = np.random.default_rng(10)
+    n, p = 40, 30
+    values = np.round(rng.normal(size=(p, n)), 1)  # tied: the masked path
+    cols = ColumnMatrix(values, np.zeros((p, n), dtype=bool), [f"v{j}" for j in range(p)])
+    y = np.arange(n) % 2
+
+    def run(m):
+        tracemalloc.start()
+        try:
+            out = panel.panel_cr(cols, y, m)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    low, low_peak = run(n - 2)
+    high, high_peak = run(n + 50)
+    np.testing.assert_array_equal(high.m_used, low.m_used)
+    assert high.flags == low.flags
+    np.testing.assert_array_equal(high.components[:, : n - 2], low.components)
+    assert not high.components[:, n - 2 :].any()
+    assert high_peak <= 1.2 * low_peak

@@ -191,6 +191,26 @@ class TestRunExperiment:
             run_experiment(SimConfig(m_signals=0, p=0, methods=("bh",)))
         assert info.value.fields == ("p",)
 
+    @pytest.mark.parametrize(
+        "settings, fields",
+        [
+            (dict(mu=np.nan), ("mu",)),
+            (dict(mu=np.inf), ("mu",)),
+            (dict(signal_model="uniform-band", lo=4.0, hi=2.0), ("lo", "hi")),
+            (dict(signal_model="uniform-band", lo=np.nan), ("lo", "hi")),
+            (dict(signal_model="uniform-band", hi=np.inf), ("lo", "hi")),
+        ],
+    )
+    def test_signal_settings_out_of_range_are_rejected(self, settings, fields):
+        cfg = SimConfig(m_signals=5, p=50, runs=1, **settings)
+        with pytest.raises(ConfigError) as info:
+            run_experiment(cfg)
+        assert info.value.fields == fields
+
+    def test_only_the_signal_model_settings_are_checked(self):
+        SimConfig(m_signals=5, mu=np.nan, signal_model="uniform-band").validate()
+        SimConfig(m_signals=5, lo=4.0, hi=np.inf).validate()
+
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2])
     def test_fdr_level_outside_unit_interval(self, level):
         # The naive arm has no level check of its own, so only validate stops it.
