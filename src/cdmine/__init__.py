@@ -18,9 +18,7 @@ from .cdfdr import (
     select,
 )
 from .comp_density import (
-    CdEstimate,
     TwoSampleData,
-    cd_estimate,
     estimate_cd,
     gof_norm,
     pp_plot_points,

@@ -20,11 +20,11 @@ import numpy as np
 from .cdfdr import FdrConfig, NullMethod, cdfdr_pipeline, check_fdr_level, cr_to_z
 from .dataset import DEFAULT_MISSING_TOKENS, csv_rows, load_csv, utf8_fault
 from .errors import CdmineError, ConfigError, LabelError, ParseError
+from .panel import panel_cr
 from .pipeline import (
     DEFAULT_TOP_K,
     NUMBER_FORMAT,
     analyze,
-    analyze_variable,
     check_top_k,
     export_plots,
     write_curves,
@@ -173,13 +173,14 @@ def cmd_cd(args) -> int:
     if unknown:
         raise ConfigError(f"unknown variables: {unknown}")
     os.makedirs(args.out, exist_ok=True)
+    panel = panel_cr(dataset.variables, dataset.labels, args.M)
     stems = set()
     for name in dict.fromkeys(args.vars):
-        va = analyze_variable(dataset.variables[position[name]], dataset.labels, args.M)
-        if va.cd is None:
-            print(f"{name}: skipped ({va.cr.flag})")
+        i = position[name]
+        if not panel.m_used[i]:
+            print(f"{name}: skipped ({panel.flags[i]})")
             continue
-        written = write_curves(va, args.out, stems)
+        written = write_curves(dataset, i, int(panel.m_used[i]), args.out, stems)
         print(f"{name}: wrote {', '.join(os.path.basename(p) for p in written)}")
     return EXIT_OK
 

@@ -40,15 +40,6 @@ class TwoSampleData:
         return cls(u=u, y=y, n0=n0, n1=n1, pi_hat=n1 / y.size)
 
 
-@dataclass(frozen=True)
-class CdEstimate:
-    """Series coefficients and PP-plot points for one variable."""
-
-    theta: np.ndarray
-    basis: ScoreBasis
-    pp_points: np.ndarray  # shape (r+1, 2), columns (H, F), starts at (0, 0)
-
-
 def theta_hat(data: TwoSampleData, basis: ScoreBasis) -> np.ndarray:
     """Class-1 averages of each score column."""
     _require_classes(data)
@@ -92,12 +83,6 @@ def gof_norm(theta: np.ndarray) -> float:
     """Squared deviation of the series density from flat: sum of theta_k^2."""
     theta = np.asarray(theta, dtype=float)
     return float(theta @ theta)
-
-
-def cd_estimate(data: TwoSampleData, basis: ScoreBasis) -> CdEstimate:
-    return CdEstimate(
-        theta=theta_hat(data, basis), basis=basis, pp_points=pp_plot_points(data)
-    )
 
 
 def _require_classes(data: TwoSampleData):

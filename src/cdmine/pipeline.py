@@ -21,10 +21,10 @@ from .cdfdr import (
     chi2_logsf,
     log_p_to_z,
 )
-from .comp_density import CdEstimate, TwoSampleData, cd_estimate, estimate_cd
+from .comp_density import TwoSampleData, estimate_cd, pp_plot_points, theta_hat
 from .cr import CrResult, categorize_rows, cr_result, null_pvalue, rank_variables
 from .dataset import Dataset
-from .errors import AllMissing, ConfigError, DegenerateVariable, TooFewItems
+from .errors import AllMissing, ConfigError, TooFewItems
 from .midrank import VariableColumn, mid_rank_transform
 from .panel import PanelCr, panel_cr
 from .score_basis import DEFAULT_M, check_m, feasible_score_basis
@@ -40,12 +40,10 @@ _NEEDS_QUOTE = re.compile('[,"\r\n]')
 
 @dataclass(frozen=True)
 class VariableAnalysis:
-    """One variable's CR result; cd, which holds the score basis, comes only
-    from ``analyze_variable``, and only for a variable it could analyze."""
+    """One variable's CR result."""
 
     name: str
     cr: CrResult
-    cd: CdEstimate | None = None
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,8 @@ class AnalysisReport:
 def analyze_variable(
     col: VariableColumn, labels: np.ndarray, m: int
 ) -> VariableAnalysis:
-    """Single-column reference path, basis and density estimate included.
+    """Single-column reference path, which the tests check the panel engine
+    against.
 
     Degenerate columns come back flagged, not raised; m < 1 is a ConfigError.
     """
@@ -145,7 +144,7 @@ def analyze_variable(
         comps = np.zeros(m)
         comps[: basis.m] = cr.components
         cr = replace(cr, components=comps, flag=f"reduced-m:{basis.m}")
-    return VariableAnalysis(name=name, cr=cr, cd=cd_estimate(data, basis))
+    return VariableAnalysis(name=name, cr=cr)
 
 
 def analyze(
@@ -184,16 +183,6 @@ def analyze(
         fdr_level=fdr_level,
         dataset=dataset,
     )
-
-
-def curve_grid(va: VariableAnalysis):
-    """(u, dhat) on an open-interval grid for a variable that
-    ``analyze_variable`` gave a density estimate."""
-    if va.cd is None:
-        raise DegenerateVariable(f"variable {va.name!r} has no density estimate")
-    u = (np.arange(CURVE_GRID_SIZE) + 0.5) / CURVE_GRID_SIZE
-    dhat = estimate_cd(va.cd.theta, va.cd.basis)(u)
-    return u, dhat
 
 
 def write_table(path, header, columns, fields):
@@ -318,30 +307,35 @@ def export_plots(
         svgplot.polyline_svg(rank, sorted_cr, path, xlabel="rank", ylabel="CR")
         written.append(path)
 
-    dataset = report.dataset
     stems = set()
     for i in report.selected_positions()[:top_k]:
-        va = analyze_variable(dataset.variables[i], dataset.labels, report.m)
-        if va.cd is not None:
-            written += write_curves(va, out_dir, stems, svg=svg)
+        m_used = int(report.panel.m_used[i])
+        if m_used:
+            written += write_curves(report.dataset, i, m_used, out_dir, stems, svg=svg)
     return written
 
 
-def write_curves(va: VariableAnalysis, out_dir, stems: set, svg: bool = False):
-    """Write the density and PP curves of one variable that has a density
-    estimate, under its sanitised name inside ``out_dir``.
+def write_curves(dataset: Dataset, i, m_used, out_dir, stems: set, svg: bool = False):
+    """Write the density and PP curves of the variable at input position i,
+    under its sanitised name inside ``out_dir``.  The density has the
+    m_used >= 1 scores the panel engine gave the variable's CR.
 
     ``stems`` holds the file stems already written in this export; a name
     whose stem is taken gets the first free suffix ``_2``, ``_3``, ...  The
     stem used is added to ``stems``.  Returns the list of file paths written.
     """
-    safe = stem = re.sub(r"[^A-Za-z0-9_.-]", "_", va.name)
+    col = dataset.variables[i]
+    safe = stem = re.sub(r"[^A-Za-z0-9_.-]", "_", col.name)
     k = 2
     while stem in stems:
         stem, k = f"{safe}_{k}", k + 1
     stems.add(stem)
-    u, dhat = curve_grid(va)
-    h, f = va.cd.pp_points.T
+    mid = mid_rank_transform(col)
+    basis = feasible_score_basis(mid, m_used)
+    data = TwoSampleData.from_arrays(mid.u, dataset.labels[~col.missing])
+    u = (np.arange(CURVE_GRID_SIZE) + 0.5) / CURVE_GRID_SIZE
+    dhat = estimate_cd(theta_hat(data, basis), basis)(u)
+    h, f = pp_plot_points(data).T
     # (file prefix, CSV header, SVG axis labels, x, y) of each curve
     curves = (("cd", ["u", "dhat"], ("u", "dhat"), u, dhat),
               ("pp", ["h", "f"], ("H", "F"), h, f))

@@ -48,6 +48,8 @@ class SimConfig:
             raise ConfigError("m_signals must lie in [0, p]", ("m_signals", "p"))
         if self.runs < 1:
             raise ConfigError("runs must be >= 1", ("runs",))
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0", ("seed",))
         if self.signal_model not in SIGNAL_MODELS:
             raise ConfigError(f"unknown signal model {self.signal_model!r}")
         if self.signal_model == "gaussian-shift" and not np.isfinite(self.mu):

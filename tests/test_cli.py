@@ -9,6 +9,8 @@ import pytest
 from cdmine import cli
 from cdmine.cdfdr import FdrConfig
 from cdmine.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
+from cdmine.comp_density import TwoSampleData, pp_plot_points
+from cdmine.midrank import mid_rank_transform
 from cdmine.pipeline import DEFAULT_TOP_K
 from cdmine.score_basis import DEFAULT_M
 from cdmine.simulate import SimConfig
@@ -310,6 +312,7 @@ def test_simulate_config_keys_reach_their_settings(tmp_path, monkeypatch):
         ("methods=bh,cdfdr\np=19\nsignals=0\n",
          "sim.cfg:2: p must be >= 20 for the cdfdr method"),
         ("methods=bh\nsignals=0\np=0\n", "sim.cfg:3: p must be >= 1"),
+        ("runs=2\nseed=-3\n", "sim.cfg:2: seed must be >= 0"),
     ],
 )
 def test_simulate_config_rejects_what_it_cannot_apply(tmp_path, capsys, text, message):
@@ -332,6 +335,7 @@ def test_simulate_config_rejects_what_it_cannot_apply(tmp_path, capsys, text, me
          "lo = nan and hi = 4.0 must be finite, with lo <= hi"),
         (["--model", "uniform-band", "--hi", "inf"],
          "lo = 2.0 and hi = inf must be finite, with lo <= hi"),
+        (["--seed", "-1"], "seed must be >= 0"),
     ],
 )
 def test_simulate_signal_settings_out_of_range(tmp_path, capsys, flags, message):
@@ -438,9 +442,77 @@ def test_cd_names_that_sanitise_alike_keep_their_own_files(tmp_path, capsys):
                                        "pp_a_b_2.csv"]
     dataset = cli.load_csv(str(path), label_column="cls")
     for col, stem in zip(dataset.variables, ["a_b", "a_b_2"]):
-        va = cli.analyze_variable(col, dataset.labels, 4)
+        mid = mid_rank_transform(col)
+        data = TwoSampleData.from_arrays(mid.u, dataset.labels[~col.missing])
         got = np.loadtxt(out / f"pp_{stem}.csv", delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(got, va.cd.pp_points)
+        np.testing.assert_array_equal(got, pp_plot_points(data))
+
+
+def write_cells(path, names, cells, y):
+    """A CSV of the given (n, p) string cells and the label column cls."""
+    rows = [",".join(list(names) + ["cls"])]
+    rows += [",".join(list(row) + [str(label)]) for row, label in zip(cells, y)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("m", ["4", "8"])
+def test_rank_and_cd_write_the_same_curves(tmp_path, m):
+    """Both commands draw a variable from the engine's score count, so its
+    curve files do not depend on which one wrote them: a tied column (reduced
+    to fewer scores at M = 8) and a column with NA cells included."""
+    rng = np.random.default_rng(12)
+    n, p = 80, 25
+    y = np.arange(n) % 2
+    X = rng.normal(size=(n, p))
+    X[:, :3] += 2.5 * y[:, None]
+    X[:, 0] = np.round(X[:, 0])
+    cells = np.char.mod("%.4f", X)
+    cells[::6, 1] = "NA"
+    names = [f"g{j}" for j in range(p)]
+    path = tmp_path / "panel.csv"
+    write_cells(path, names, cells, y)
+    ranked, drawn = tmp_path / "rank", tmp_path / "cd"
+    assert main(["rank", str(path), "--label", "cls", "--M", m, "--top-k", str(p),
+                 "--out", str(ranked)]) == EXIT_OK
+    selected = json.loads((ranked / "summary.json").read_text())["selected"]
+    assert {"g0", "g1"} <= set(selected)
+    with open(ranked / "ranked.csv") as fh:
+        flags = {row["variable_id"]: row["flag"] for row in csv.DictReader(fh)}
+    assert (flags["g0"] != "") == (m == "8")
+    assert main(["cd", str(path), "--label", "cls", "--M", m, "--vars", *selected,
+                 "--out", str(drawn)]) == EXIT_OK
+    curves = sorted(f"{kind}_{name}.csv" for name in selected for kind in ("cd", "pp"))
+    assert sorted(os.listdir(drawn)) == curves
+    for name in curves:
+        assert (drawn / name).read_bytes() == (ranked / name).read_bytes(), name
+
+
+def test_cd_skips_a_flagged_variable_with_the_engine_s_flag(tmp_path, capsys):
+    rng = np.random.default_rng(13)
+    n = 40
+    y = np.arange(n) % 2
+    cells = np.char.mod("%.4f", rng.normal(size=(n, 5)))
+    cells[:, 1] = "7.25"
+    cells[:, 2] = "NA"
+    cells[y == 1, 3] = "NA"
+    cells[1, 3] = "1.5"
+    names = ["fine", "flat", "empty", "lopsided", "other"]
+    path = tmp_path / "panel.csv"
+    write_cells(path, names, cells, y)
+    assert main(["rank", str(path), "--label", "cls", "--out", str(tmp_path / "r")]) == EXIT_OK
+    with open(tmp_path / "r" / "ranked.csv") as fh:
+        flags = {row["variable_id"]: row["flag"] for row in csv.DictReader(fh)}
+    assert [flags[name] for name in names[1:4]] == ["constant", "all-missing",
+                                                     "class-too-small"]
+    capsys.readouterr()
+    code = main(["cd", str(path), "--label", "cls", "--vars", *names[:4],
+                 "--out", str(tmp_path / "cd")])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "fine: wrote cd_fine.csv, pp_fine.csv",
+        *(f"{name}: skipped ({flags[name]})" for name in names[1:4]),
+    ]
+    assert sorted(os.listdir(tmp_path / "cd")) == ["cd_fine.csv", "pp_fine.csv"]
 
 
 def test_every_flag_defaults_to_its_setting():

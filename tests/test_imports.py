@@ -16,7 +16,7 @@ from cdmine import cli
 from cdmine.cdfdr import cdfdr_pipeline
 from cdmine.dataset import Dataset
 from cdmine.midrank import VariableColumn
-from cdmine.pipeline import analyze, analyze_variable
+from cdmine.pipeline import analyze, export_plots
 from cdmine.simulate import SimConfig, run_experiment
 
 rng = np.random.default_rng(0)
@@ -30,10 +30,11 @@ for j in range(p):
     cols.append(VariableColumn(values=x, missing=missing, name=f"v{j}"))
 report = analyze(Dataset(variables=cols, labels=y, positive_label="1", n=n, p=p))
 assert report.fdr is not None
-assert analyze_variable(cols[0], y, 4).cd is not None
 cdfdr_pipeline(rng.standard_normal(200))
 run_experiment(SimConfig(m_signals=5, p=100, runs=2))
 with tempfile.TemporaryDirectory() as tmp:
+    written = export_plots(report, tmp, svg=True)
+    assert os.path.join(tmp, "cd_v0.csv") in written
     path = os.path.join(tmp, "z.csv")
     with open(path, "w") as fh:
         fh.write("id,z\n" + "".join(f"g{i},{v}\n" for i, v in enumerate(rng.standard_normal(50))))

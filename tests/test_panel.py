@@ -1,5 +1,6 @@
 """The batched panel engine behind ``analyze`` against the single-column
-reference path ``analyze_variable``."""
+reference path ``analyze_variable``, and its components against the curve
+coefficients drawn with its ``m_used``."""
 
 import tracemalloc
 from unittest import mock
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmine import panel
+from cdmine.comp_density import TwoSampleData, theta_hat
 from cdmine.dataset import ColumnMatrix, Dataset, load_csv
 from cdmine.errors import ConfigError, NonFinite
-from cdmine.midrank import VariableColumn
+from cdmine.midrank import VariableColumn, mid_rank_transform
 from cdmine.pipeline import analyze, analyze_variable
+from cdmine.score_basis import feasible_score_basis
 
 KINDS = (
     "continuous",
@@ -105,6 +108,24 @@ def test_engine_matches_reference_path(case, block):
     ds, m = case
     with mock.patch.object(panel, "BLOCK_COLUMNS", block):
         assert_matches_reference(ds, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(panels())
+def test_curve_coefficients_are_the_engine_components(case):
+    """A curve rebuilds its column's basis with the engine's m_used scores;
+    its theta-hat is then R_k sqrt((1 - pi)/pi), so the curve and the CR
+    row describe one fit."""
+    ds, m = case
+    out = panel.panel_cr(ds.variables, ds.labels, m)
+    for i in np.flatnonzero(out.m_used):
+        col, k = ds.variables[i], out.m_used[i]
+        mid = mid_rank_transform(col)
+        basis = feasible_score_basis(mid, k)
+        assert basis.m == k, col.name
+        data = TwoSampleData.from_arrays(mid.u, ds.labels[~col.missing])
+        want = out.components[i, :k] * np.sqrt((1.0 - data.pi_hat) / data.pi_hat)
+        assert np.abs(theta_hat(data, basis) - want).max() <= TOL, col.name
 
 
 @settings(max_examples=40, deadline=None)

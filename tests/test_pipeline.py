@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 
 from cdmine.cdfdr import cr_to_z, log_p_to_z
+from cdmine.comp_density import TwoSampleData, estimate_cd, pp_plot_points, theta_hat
 from cdmine.dataset import Dataset
 from cdmine.errors import ConfigError, TooFewItems
-from cdmine.midrank import VariableColumn
+from cdmine.midrank import VariableColumn, mid_rank_transform
 from cdmine.pipeline import (
+    CURVE_GRID_SIZE,
     analyze,
     analyze_variable,
-    curve_grid,
     export_plots,
     write_ranked_csv,
     write_summary_json,
 )
+from cdmine.score_basis import build_score_basis
 
 
 def make_dataset(X, y, names=None):
@@ -26,6 +28,22 @@ def make_dataset(X, y, names=None):
         for j in range(p)
     ]
     return Dataset(variables=cols, labels=np.asarray(y, int), positive_label="1", n=n, p=p)
+
+
+def column_sample(ds, i):
+    """Mid-ranks and labels of the present entries of the variable at position i."""
+    col = ds.variables[i]
+    mid = mid_rank_transform(col)
+    return mid, TwoSampleData.from_arrays(mid.u, ds.labels[~col.missing])
+
+
+def reference_density(ds, i, m):
+    """(u, dhat) on the curve grid, from the full basis of m scores of the
+    variable at position i."""
+    mid, data = column_sample(ds, i)
+    basis = build_score_basis(mid, m)
+    u = (np.arange(CURVE_GRID_SIZE) + 0.5) / CURVE_GRID_SIZE
+    return u, estimate_cd(theta_hat(data, basis), basis)(u)
 
 
 def null_dataset(rng, n=80, p=30):
@@ -65,7 +83,7 @@ def test_planted_location_column():
     assert "v7" in report.selected_names()
 
 
-def test_planted_scale_column_u_shaped_density():
+def test_planted_scale_column_u_shaped_density(tmp_path):
     rng = np.random.default_rng(102)
     n, p = 400, 30
     y = rng.integers(0, 2, n)
@@ -75,8 +93,12 @@ def test_planted_scale_column_u_shaped_density():
     top = report.order[0]
     assert report.names[top] == "v3"
     assert report.categories[top] == "variance"
-    ds = report.dataset
-    u, dhat = curve_grid(analyze_variable(ds.variables[top], ds.labels, report.m))
+    assert report.selected_positions()[0] == top
+    export_plots(report, tmp_path, top_k=1)
+    u, dhat = np.loadtxt(tmp_path / "cd_v3.csv", delimiter=",", skiprows=1).T
+    want_u, want_dhat = reference_density(report.dataset, top, report.m)
+    np.testing.assert_allclose(u, want_u, atol=1e-9)
+    np.testing.assert_allclose(dhat, want_dhat, atol=1e-9)
     d = lambda q: dhat[np.argmin(np.abs(u - q))]
     assert d(0.05) > d(0.5) and d(0.95) > d(0.5)
 
@@ -158,8 +180,7 @@ def test_export_top_k_files_and_roundtrip(tmp_path):
 
     top = report.selected_positions()[0]
     top_name = report.names[top]
-    ds = report.dataset
-    u, dhat = curve_grid(analyze_variable(ds.variables[top], ds.labels, report.m))
+    u, dhat = reference_density(report.dataset, top, report.m)
     with open(tmp_path / f"cd_{top_name}.csv") as fh:
         rows = list(csv.DictReader(fh))
     got = np.array([[float(r["u"]), float(r["dhat"])] for r in rows])
@@ -251,8 +272,6 @@ def test_export_names_that_sanitise_alike_keep_their_own_files(tmp_path):
         "cd_a_b.csv", "cd_a_b_2.csv", "pp_a_b.csv", "pp_a_b_2.csv", "sorted_cr.csv"
     ]
     first, second = report.selected_positions()[:2]
-    ds = report.dataset
     for i, stem in ((first, "a_b"), (second, "a_b_2")):
-        va = analyze_variable(ds.variables[i], ds.labels, report.m)
         got = np.loadtxt(tmp_path / f"pp_{stem}.csv", delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(got, va.cd.pp_points)
+        np.testing.assert_array_equal(got, pp_plot_points(column_sample(report.dataset, i)[1]))

@@ -199,6 +199,7 @@ class TestRunExperiment:
             (dict(signal_model="uniform-band", lo=4.0, hi=2.0), ("lo", "hi")),
             (dict(signal_model="uniform-band", lo=np.nan), ("lo", "hi")),
             (dict(signal_model="uniform-band", hi=np.inf), ("lo", "hi")),
+            (dict(seed=-1), ("seed",)),  # numpy's SeedSequence takes no negative seed
         ],
     )
     def test_signal_settings_out_of_range_are_rejected(self, settings, fields):
