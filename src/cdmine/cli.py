@@ -187,8 +187,12 @@ def cmd_cd(args) -> int:
 
 def cmd_fdr(args) -> int:
     check_m(args.M)
-    if args.input_kind == "cr" and (args.n is None or args.n < 1):
-        raise ConfigError("--input-kind cr needs a sample size --n >= 1")
+    if args.input_kind == "cr":
+        if args.n is None or args.n < 1:
+            raise ConfigError("--input-kind cr needs a sample size --n >= 1")
+        if args.M > args.n - 2:
+            # No variable of n rows has more than n - 2 scores.
+            raise ConfigError(f"--M must be <= --n - 2 = {args.n - 2} for --input-kind cr")
     cfg = FdrConfig(
         fdr_level=args.fdr_level,
         null_method=NullMethod(args.null_method),

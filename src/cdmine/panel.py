@@ -11,9 +11,11 @@ Which path a column takes depends only on whether it is complete and
 tie-free.
 
 The panel is a ``ColumnMatrix``: one (p, n) value matrix and its missing
-mask.  Columns are processed in blocks of BLOCK_COLUMNS rows of it, so the
-temporaries stay small next to the dataset itself; a block's values and
-mask are slices of the matrix.
+mask.  Columns are processed in blocks of BLOCK_CELLS // n rows of it, so
+each (q, n) temporary of a block holds about BLOCK_CELLS values (1 MB)
+whatever n is.  At that size the heap reuses a block's temporaries for the
+next block, rather than returning them to the OS and faulting them in
+again.  A block's values and mask are slices of the matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .errors import NonFinite
 from .midrank import MidRankVector
 from .score_basis import check_m, feasible_score_basis, recurrence_scores
 
-BLOCK_COLUMNS = 512
+# Cells (columns x rows) of one block; see the module docstring.
+BLOCK_CELLS = 2**17
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,9 @@ def panel_cr(variables: ColumnMatrix, labels, m: int) -> PanelCr:
         m_used=np.zeros(p, dtype=int),
         flags=[""] * p,
     )
-    for start in range(0, p, BLOCK_COLUMNS):
-        _block(variables[start : start + BLOCK_COLUMNS], y, m, table, out, start)
+    step = max(1, BLOCK_CELLS // y.size)
+    for start in range(0, p, step):
+        _block(variables[start : start + step], y, m, table, out, start)
     return out
 
 
@@ -90,7 +94,9 @@ def _block(cols, y, m, table, out, start):
         raise NonFinite(f"variable {cols.names[bad[0]]!r}: non-missing NaN or infinite value")
 
     order = np.argsort(x, axis=1)  # missing (NaN) entries last
-    xs = np.take_along_axis(x, order, axis=1)
+    # The values in that order, up to the sign of a zero, which the tie scan
+    # below cannot see (-0.0 == 0.0).
+    xs = np.sort(x, axis=1)
     first = np.ones(x.shape, dtype=bool)  # sorted entry starts a new distinct value
     first[:, 1:] = xs[:, 1:] != xs[:, :-1]
     del x, xs  # two (q, n) copies, freed before the gathers below to lower the block's peak
@@ -120,8 +126,7 @@ def _block(cols, y, m, table, out, start):
         comps[masked], m_used[masked] = _masked(
             order[masked], first[masked], present[masked], nj[masked], n1[masked], y, m
         )
-        flags[masked[m_used[masked] < 1]] = "rank-deficient"
-        reduced = masked[(m_used[masked] >= 1) & (m_used[masked] < m)]
+        reduced = masked[m_used[masked] < m]
         flags[reduced] = [f"reduced-m:{k}" for k in m_used[reduced]]
 
     out.n_effective[start : start + len(cols)] = nj

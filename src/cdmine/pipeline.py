@@ -134,10 +134,9 @@ def analyze_variable(
     counts = np.bincount(y, minlength=2)
     if counts[0] < 2 or counts[1] < 2:
         return flagged("class-too-small", mid.n_effective)
+    # Two of each class and sigma > 0: the basis has min(m, n - 2) >= 1 scores
+    # before the residual-norm cut, which keeps at least one.
     basis = feasible_score_basis(mid, m)
-    if basis is None:
-        return flagged("rank-deficient", mid.n_effective)
-
     data = TwoSampleData.from_arrays(mid.u, y)
     cr = cr_result(data, basis, variable_id=name)
     if basis.m < m:

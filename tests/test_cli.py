@@ -210,6 +210,27 @@ def test_fdr_cr_input_rejects_bad_n_or_m(tmp_path, bad):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("m", ["4", "1000000000000"])
+def test_fdr_cr_m_above_n_minus_2_is_rejected_before_reading(tmp_path, capsys, m):
+    """No variable of n rows has more than n - 2 scores.  The input does not
+    exist, so the rule must run before the file is opened; a huge M must
+    not reach the chi-square tail, whose cost grows with M."""
+    out = tmp_path / "o.csv"
+    code = main(["fdr", str(tmp_path / "absent.csv"), "--col", "cr", "--input-kind", "cr",
+                 "--n", "5", "--M", m, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "configuration error: --M must be <= --n - 2 = 3 for --input-kind cr\n"
+    assert not out.exists()
+
+
+def test_fdr_cr_m_of_n_minus_2_is_accepted(tmp_path):
+    path = write_scores(tmp_path / "cr.csv", np.linspace(0, 1, 30), col="cr")
+    code = main(["fdr", str(path), "--col", "cr", "--input-kind", "cr", "--n", "5",
+                 "--M", "3", "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_OK
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", ""])
 def test_fdr_non_finite_score_is_located(tmp_path, capsys, cell):
     values = [f"{v:.3f}" for v in np.linspace(-2, 2, 30)]

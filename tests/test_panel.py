@@ -30,6 +30,9 @@ KINDS = (
     "class-too-small",
 )
 TOL = 1e-12
+# Rows of the panels that cross a block boundary of the real size: a block
+# then holds BLOCK_CELLS // WIDE_N = 512 columns.
+WIDE_N = 256
 
 
 def make_panel(n, n1, kinds, missing_rate, seed):
@@ -106,7 +109,7 @@ def panels(draw):
 @given(panels(), st.integers(1, 5))
 def test_engine_matches_reference_path(case, block):
     ds, m = case
-    with mock.patch.object(panel, "BLOCK_COLUMNS", block):
+    with mock.patch.object(panel, "BLOCK_CELLS", block * ds.n):  # block columns a block
         assert_matches_reference(ds, m)
 
 
@@ -140,9 +143,18 @@ def test_n_near_m_plus_one(seed, extra):
 
 def test_blocks_of_the_real_size_are_crossed():
     rng = np.random.default_rng(5)
-    kinds = list(rng.choice(KINDS, size=panel.BLOCK_COLUMNS + 37))
-    report = assert_matches_reference(make_panel(30, 13, kinds, 0.1, 5), 4)
-    assert len(report.per_variable) > panel.BLOCK_COLUMNS
+    block = panel.BLOCK_CELLS // WIDE_N
+    kinds = list(rng.choice(KINDS, size=block + 37))
+    # A missing rate low enough that complete, tie-free columns, which take
+    # the shared table, sit on both sides of the block boundary.
+    ds = make_panel(WIDE_N, 110, kinds, 0.005, 5)
+    complete = ~ds.variables.missing.any(axis=1)
+    shared = [
+        j for j in np.flatnonzero(complete) if np.unique(ds.variables.values[j]).size == WIDE_N
+    ]
+    assert min(shared) < block <= max(shared)
+    report = assert_matches_reference(ds, 4)
+    assert len(report.per_variable) > block
     assert report.fdr is not None
 
 
@@ -151,9 +163,9 @@ def test_a_list_built_and_a_loaded_panel_give_the_same_analysis(tmp_path):
     cells, constant columns and more than one block."""
     rng = np.random.default_rng(8)
     kinds = ["rounded", "binary", "constant", "all-missing"] + list(
-        rng.choice(KINDS, size=panel.BLOCK_COLUMNS + 37)
+        rng.choice(KINDS, size=panel.BLOCK_CELLS // WIDE_N + 37)
     )
-    listed = make_panel(30, 13, kinds, 0.1, 8)
+    listed = make_panel(WIDE_N, 110, kinds, 0.005, 8)
     cells = np.where(listed.variables.missing, "NA", listed.variables.values.astype(str))
     rows = [listed.names + ["cls"]]
     rows += [list(row) + [str(label)] for row, label in zip(cells.T, listed.labels)]
@@ -239,3 +251,30 @@ def test_masked_scores_stop_at_the_largest_column_s_n_minus_2():
     np.testing.assert_array_equal(high.components[:, : n - 2], low.components)
     assert not high.components[:, n - 2 :].any()
     assert high_peak <= 1.2 * low_peak
+
+
+@pytest.mark.parametrize(
+    "n, p, decimals, multiple",
+    [
+        (500, 1000, None, 5),  # complete, tie-free: the shared table
+        (100, 5000, None, 5),
+        (100, 5000, 1, 20),  # rounded to one decimal: the masked path, M = 4 scores
+    ],
+)
+def test_block_temporaries_stay_within_the_cell_budget(n, p, decimals, multiple):
+    """A block holds BLOCK_CELLS // n columns, so the peak of ``panel_cr``
+    above its outputs stays within a fixed multiple of BLOCK_CELLS doubles
+    whatever the panel's shape."""
+    values = np.random.default_rng(11).normal(size=(p, n))
+    if decimals is not None:
+        values = np.round(values, decimals)
+    cols = ColumnMatrix(values, np.zeros((p, n), dtype=bool), [f"v{j}" for j in range(p)])
+    y = np.arange(n) % 2
+    tracemalloc.start()
+    try:
+        out = panel.panel_cr(cols, y, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = out.components.nbytes + out.n_effective.nbytes + out.m_used.nbytes + 8 * p
+    assert peak <= multiple * panel.BLOCK_CELLS * 8 + outputs
