@@ -27,7 +27,6 @@ from .comp_density import (
 from .cr import (
     CrResult,
     component_correlations,
-    cr_result,
     cr_statistic,
     null_pvalue,
     rank_variables,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import eval_legendre, log_ndtr, ndtr, ndtri_exp
+from scipy.special import eval_legendre, gammaln, log_ndtr, logsumexp, ndtr, ndtri_exp
 
 from .errors import ConfigError, NonFinite, TooFewItems, ZeroSpread
 
@@ -27,6 +27,9 @@ DENSITY_FLOOR = 0.01
 # p-values above 1 - 1e-16 are clipped there, so a flagged or null item
 # (CR = 0, p = 1) gets a finite z of about -8.2.
 LOG_P_MAX = np.log(1.0 - 1e-16)
+# The largest |z| a selection takes: z**2 overflows past about 1.34e154, in
+# the null fits and in the theoretical weight.
+Z_MAX = 1e150
 # The largest finite double: the printed inverse fdr of an item whose f/f0
 # overflows.
 INVERSE_FDR_MAX = np.finfo(float).max
@@ -273,24 +276,45 @@ def chi2_logsf(x, df) -> np.ndarray:
 def _chi2_logsf_int(x, df: int):
     if df < 1:
         raise ValueError("chi-square df must be >= 1")
+    k = df // 2
     if df % 2 == 0:
         h = x / 2.0
         term, total = np.ones_like(h), np.zeros_like(h)
-        for j in range(1, df // 2):
-            term = term * h / j
-            total = total + term
-        return -h + np.log1p(total)
+        with np.errstate(over="ignore"):
+            for j in range(1, k):
+                term = term * h / j
+                total = total + term
+        j = np.arange(k)
+        return -h + _log_series(np.log1p(total), total, h, j, -gammaln(j + 1))
     t = np.sqrt(x)
     head = np.log(2.0) + log_ndtr(-t)
     if df == 1:
         return head
     term = total = t
-    for j in range(2, df // 2 + 1):
-        term = term * x / (2 * j - 1)
-        total = total + term
+    with np.errstate(over="ignore"):
+        for j in range(2, k + 1):
+            term = term * x / (2 * j - 1)
+            total = total + term
     with np.errstate(divide="ignore"):
-        tail = np.log(2.0) + norm_logpdf(t) + np.log(total)
+        log_total = np.log(total)
+    # The j-th term is t^(2j - 1) / (1 * 3 * ... * (2j - 1)).
+    j = np.arange(1, k + 1)
+    log_total = _log_series(log_total, total, t, 2 * j - 1,
+                            j * np.log(2.0) + gammaln(j + 1) - gammaln(2 * j + 1))
+    tail = np.log(2.0) + norm_logpdf(t) + log_total
     return np.logaddexp(head, tail)
+
+
+def _log_series(log_total, total, base, powers, log_coeffs):
+    """``log_total``, the log of the series sum ``total``, with each entry
+    where ``total`` overflowed recomputed in log space as the log of
+    sum_i exp(log_coeffs[i]) base^powers[i]."""
+    big = np.isinf(total)
+    if big.any():
+        log_total[big] = logsumexp(
+            powers[:, None] * np.log(base[big]) + log_coeffs[:, None], axis=0
+        )
+    return log_total
 
 
 def cdfdr_pipeline(z, config: FdrConfig = FdrConfig()) -> FdrResult:
@@ -300,8 +324,8 @@ def cdfdr_pipeline(z, config: FdrConfig = FdrConfig()) -> FdrResult:
     zero-spread row anywhere fails the whole call.
     """
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise NonFinite("z-scores must be finite")
+    if not np.all(np.abs(z) <= Z_MAX):
+        raise NonFinite(f"z-scores must be finite, with |z| <= {Z_MAX:g}")
     null = estimate_null(z, config.null_method)
     u = preflatten(z, null)
     # One pass over the Legendre terms at u serves both the fit and the

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .cdfdr import FdrConfig, NullMethod, cdfdr_pipeline, check_fdr_level, cr_to_z
+from .cdfdr import Z_MAX, FdrConfig, NullMethod, cdfdr_pipeline, check_fdr_level, cr_to_z
 from .dataset import DEFAULT_MISSING_TOKENS, csv_rows, load_csv, utf8_fault
 from .errors import CdmineError, ConfigError, LabelError, ParseError
 from .panel import panel_cr
@@ -151,6 +151,8 @@ def cmd_rank(args) -> int:
     check_fdr_level(args.fdr_level)
     check_top_k(args.top_k)
     dataset = load_dataset(args)
+    if dataset.p:  # else analyze reports that there is nothing to analyze
+        check_m(args.M, dataset.n)
     report = analyze(
         dataset,
         m=args.M,
@@ -172,6 +174,7 @@ def cmd_cd(args) -> int:
     unknown = [v for v in args.vars if v not in position]
     if unknown:
         raise ConfigError(f"unknown variables: {unknown}")
+    check_m(args.M, dataset.n)
     os.makedirs(args.out, exist_ok=True)
     panel = panel_cr(dataset.variables, dataset.labels, args.M)
     stems = set()
@@ -187,12 +190,14 @@ def cmd_cd(args) -> int:
 
 def cmd_fdr(args) -> int:
     check_m(args.M)
+    # The largest |score|: a CR past it has n * CR past Z_MAX**2, and so a z
+    # past Z_MAX.
+    bound = Z_MAX
     if args.input_kind == "cr":
         if args.n is None or args.n < 1:
             raise ConfigError("--input-kind cr needs a sample size --n >= 1")
-        if args.M > args.n - 2:
-            # No variable of n rows has more than n - 2 scores.
-            raise ConfigError(f"--M must be <= --n - 2 = {args.n - 2} for --input-kind cr")
+        check_m(args.M, args.n)
+        bound = Z_MAX**2 / args.n
     cfg = FdrConfig(
         fdr_level=args.fdr_level,
         null_method=NullMethod(args.null_method),
@@ -223,6 +228,9 @@ def cmd_fdr(args) -> int:
         if args.input_kind == "cr" and score < 0:
             # A CR is a sum of squares.
             raise ParseError(f"CR {row[idx]!r} is negative", row=i + 2, column=args.col)
+        if abs(score) > bound:
+            raise ParseError(f"score {row[idx]!r} is beyond {bound:g} in absolute value",
+                             row=i + 2, column=args.col)
         scores.append(score)
         ids.append(row[id_idx] if id_idx is not None else str(i))
     z = np.array(scores)

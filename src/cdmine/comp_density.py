@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyClass
+from .midrank import tie_groups
 from .score_basis import ScoreBasis, evaluate_scores
 
 
@@ -66,15 +67,12 @@ def pp_plot_points(data: TwoSampleData) -> np.ndarray:
     A leading (0, 0) anchors linear interpolation; the last point is (1, 1).
     """
     _require_classes(data)
-    order = np.argsort(data.u, kind="stable")
-    u_sorted = data.u[order]
-    y_sorted = data.y[order]
-    n = u_sorted.size
-    # Distinct mid-rank levels correspond to distinct raw values in order.
-    boundaries = np.flatnonzero(np.diff(u_sorted) > 0)
-    ends = np.append(boundaries, n - 1)
-    h = (ends + 1) / n
-    f = np.cumsum(y_sorted)[ends] / data.n1
+    order, first = tie_groups(data.u[None])
+    # Distinct mid-rank levels correspond to distinct raw values in order;
+    # each point is at the last entry of a level.
+    ends = np.flatnonzero(np.r_[first[0, 1:], True])
+    h = (ends + 1) / data.u.size
+    f = np.cumsum(data.y[order[0]])[ends] / data.n1
     pts = np.column_stack([h, f])
     return np.vstack([[0.0, 0.0], pts])
 

@@ -27,17 +27,25 @@ class CrResult:
 
 
 def component_correlations(data: TwoSampleData, basis: ScoreBasis) -> np.ndarray:
-    """Sample correlation of the label with each score column."""
-    y = data.y.astype(float)
-    n = y.size
-    sd_y = np.sqrt(data.pi_hat * (1.0 - data.pi_hat))
-    if sd_y == 0.0:
+    """Sample correlation of the label with each score column: the
+    one-column case of ``label_correlations``."""
+    if data.pi_hat * (1.0 - data.pi_hat) == 0.0:
         raise DegenerateVariable("labels are constant")
-    cols = basis.score_matrix
-    mean_cols = cols.mean(axis=0)
-    cov = (y @ cols) / n - y.mean() * mean_cols
-    sd_cols = np.sqrt(np.maximum((cols**2).mean(axis=0) - mean_cols**2, 0.0))
-    return cov / (sd_y * sd_cols)
+    scores = basis.score_matrix.T[:, None, :]
+    return label_correlations(scores, data.y.astype(float), data.y.size, data.n1)[:, 0]
+
+
+def label_correlations(scores, y, nj, n1) -> np.ndarray:
+    """Sample correlations (k, q) of the 0/1 labels y (n,) with the scores
+    (k, q, n) of q columns, zero at each column's missing entries.  A column
+    has nj present entries, n1 of them labelled 1; a score of zero spread
+    gives a non-finite correlation, without a warning."""
+    pi = n1 / nj
+    mean_s = scores.sum(axis=2) / nj
+    cov = scores @ y / nj - pi * mean_s
+    sd_s = np.sqrt(np.maximum((scores**2).sum(axis=2) / nj - mean_s**2, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return cov / (np.sqrt(pi * (1.0 - pi)) * sd_s)
 
 
 def cr_statistic(components: np.ndarray) -> float:
@@ -58,15 +66,11 @@ def null_pvalue(cr, n, m):
     return float(p) if p.ndim == 0 else p
 
 
-def categorize(components: np.ndarray) -> str:
-    """Impact type: the dominant component's label if it carries more than
-    half of CR, else 'mixed'.  Components beyond the fourth have no single
-    moment label and fall back to 'mixed'."""
-    return categorize_rows(np.atleast_2d(np.asarray(components, dtype=float)))[0]
-
-
 def categorize_rows(rows: np.ndarray) -> list:
-    """``categorize`` of each row of a (p, M) array of components."""
+    """Impact type of each row of a (p, M) array of components: the
+    dominant component's label if it carries more than half of the row's
+    CR, else 'mixed'.  Components beyond the fourth have no single moment
+    label and fall back to 'mixed'."""
     sq = np.asarray(rows, dtype=float) ** 2
     total = sq.sum(axis=1)
     top = sq.argmax(axis=1)
@@ -75,19 +79,6 @@ def categorize_rows(rows: np.ndarray) -> list:
         CATEGORY_BY_COMPONENT.get(t + 1, "mixed") if d else "mixed"
         for t, d in zip(top.tolist(), dominant.tolist())
     ]
-
-
-def cr_result(data: TwoSampleData, basis: ScoreBasis, variable_id: str = "") -> CrResult:
-    comps = component_correlations(data, basis)
-    cr = cr_statistic(comps)
-    return CrResult(
-        components=comps,
-        cr=cr,
-        pvalue=null_pvalue(cr, data.y.size, basis.m),
-        category=categorize(comps),
-        n_effective=data.y.size,
-        variable_id=variable_id,
-    )
 
 
 def rank_variables(cr) -> np.ndarray:

@@ -55,24 +55,43 @@ class MidRankVector:
 
 
 def mid_rank_transform(col: VariableColumn) -> MidRankVector:
-    """Map the non-missing values of a column to (avg_rank - 0.5) / n."""
+    """Map the non-missing values of a column to (avg_rank - 0.5) / n: the
+    one-column case of ``tie_groups`` and ``mid_ranks``."""
     x = col.present()
     if x.size < 2:
         raise AllMissing(f"column {col.name!r}: fewer than 2 non-missing values")
     if not np.all(np.isfinite(x)):
         raise NonFinite(f"column {col.name!r}: non-missing NaN or infinite value")
     n = x.size
-    # Tie groups of the sorted values: sizes in value order, and each
-    # group's average rank - 1/2 (exact: ranks are half-integers).
-    order = np.argsort(x)
-    xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    sizes = np.diff(np.r_[starts, n])
-    half_rank = np.cumsum(sizes) - sizes / 2.0
-    u = np.empty(n)
-    u[order] = np.repeat(half_rank, sizes) / n
-    p_hat = sizes / n
-    sigma_sq = (1.0 - np.sum(p_hat**3)) / 12.0
-    sigma_mid = float(np.sqrt(max(sigma_sq, 0.0)))
-    return MidRankVector(u=u, n_effective=n, sigma_mid=sigma_mid)
+    u, sigma = mid_ranks(*tie_groups(x[None]), np.array([n]))
+    return MidRankVector(u=u[0], n_effective=n, sigma_mid=float(sigma[0]))
 
+
+def tie_groups(x):
+    """(order, first) of the rows of a (q, n) value matrix, NaN at missing
+    cells: each row's sort order, missing cells last, and a mask that marks
+    the sorted entries starting a new distinct value."""
+    order = np.argsort(x, axis=1)
+    # The values in that order, up to the sign of a zero, which the tie scan
+    # below cannot see (-0.0 == 0.0).
+    xs = np.sort(x, axis=1)
+    first = np.ones(x.shape, dtype=bool)
+    first[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    return order, first
+
+
+def mid_ranks(order, first, nj):
+    """(u, sigma_mid) of q rows from their ``tie_groups`` and their counts
+    nj >= 1 of present entries: u (q, n) is (average rank - 1/2) / n_j at
+    the present entries and 0 at the missing ones."""
+    q, n = order.shape
+    present_sorted = np.arange(n) < nj[:, None]
+    # Tie groups of the present entries: ids, sizes and average ranks.
+    gid = np.cumsum(first, axis=1) - 1 + n * np.arange(q)[:, None]
+    sizes = np.bincount(gid[present_sorted], minlength=n * q).reshape(q, n)
+    half_rank = np.cumsum(sizes, axis=1) - sizes / 2.0  # exact: ranks are half-integers
+    u = np.zeros((q, n))
+    np.put_along_axis(u, order, half_rank.ravel()[gid] * present_sorted, axis=1)
+    u /= nj[:, None]
+    sigma = np.sqrt(np.maximum((1.0 - (sizes**3.0).sum(axis=1) / nj**3.0) / 12.0, 0.0))
+    return u, sigma

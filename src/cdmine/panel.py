@@ -4,9 +4,9 @@ Every complete, tie-free column of length n has the mid-ranks (i - 1/2)/n in
 some order, so all such columns share one n x M score table T.  Their label
 correlations are a gather of the labels by each column's sort order and one
 matmul with T.  Columns with ties or missing entries take a batched form of
-the single-column path instead: mid-ranks and tie counts come from the same
-sort, then ``score_basis.recurrence_scores`` builds the scores of the whole
-batch under per-column weights 1/n_j, as it does for a single column.
+the single-column path instead: ``midrank.tie_groups`` and ``mid_ranks``
+give the batch's mid-ranks from one sort, then ``recurrence_scores`` builds
+its scores under per-column weights 1/n_j, as both do for a single column.
 Which path a column takes depends only on whether it is complete and
 tie-free.
 
@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cr import label_correlations
 from .dataset import ColumnMatrix
 from .errors import NonFinite
-from .midrank import MidRankVector
+from .midrank import VariableColumn, mid_rank_transform, mid_ranks, tie_groups
 from .score_basis import check_m, feasible_score_basis, recurrence_scores
 
 # Cells (columns x rows) of one block; see the module docstring.
@@ -49,9 +50,8 @@ def grid_scores(n: int, m: int):
     fewer than m scores."""
     if n < m + 2:
         return None
-    u = (np.arange(n) + 0.5) / n
-    sigma = np.sqrt((1.0 - 1.0 / n**2) / 12.0)
-    basis = feasible_score_basis(MidRankVector(u=u, n_effective=n, sigma_mid=sigma), m)
+    grid = mid_rank_transform(VariableColumn.from_values(np.arange(float(n))))
+    basis = feasible_score_basis(grid, m)
     return basis.score_matrix if basis is not None and basis.m == m else None
 
 
@@ -93,13 +93,8 @@ def _block(cols, y, m, table, out, start):
     if bad.size:
         raise NonFinite(f"variable {cols.names[bad[0]]!r}: non-missing NaN or infinite value")
 
-    order = np.argsort(x, axis=1)  # missing (NaN) entries last
-    # The values in that order, up to the sign of a zero, which the tie scan
-    # below cannot see (-0.0 == 0.0).
-    xs = np.sort(x, axis=1)
-    first = np.ones(x.shape, dtype=bool)  # sorted entry starts a new distinct value
-    first[:, 1:] = xs[:, 1:] != xs[:, :-1]
-    del x, xs  # two (q, n) copies, freed before the gathers below to lower the block's peak
+    order, first = tie_groups(x)  # missing (NaN) entries last
+    del x  # freed before the gathers below to lower the block's peak
     present_sorted = np.arange(n) < nj[:, None]
     distinct = (first & present_sorted).sum(axis=1)
 
@@ -140,30 +135,14 @@ def _masked(order, first, present, nj, n1, y, m):
     # No column has more than n_j - 2 scores; components past them stay 0.
     k = min(m, int(nj.max()) - 2)
     scores, m_used = _masked_scores(order, first, present, nj, k)
-    # Same centring and scaling as cr.component_correlations.
-    pi = n1 / nj
-    mean_s = scores.sum(axis=2) / nj
-    cov = scores @ y / nj - pi * mean_s
-    sd_s = np.sqrt(np.maximum((scores**2).sum(axis=2) / nj - mean_s**2, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = cov / (np.sqrt(pi * (1.0 - pi)) * sd_s)
-    r = np.where(np.arange(k)[:, None] < m_used, r, 0.0)
+    r = np.where(np.arange(k)[:, None] < m_used, label_correlations(scores, y, nj, n1), 0.0)
     return np.pad(r.T, ((0, 0), (0, m - k))), m_used
 
 
 def _masked_scores(order, first, present, nj, m):
     """Scores (m, q, n), zero at missing entries, and m_used (q,): the first
     m_used scores of each column are orthonormal under weights 1/n_j."""
-    q, n = order.shape
-    present_sorted = np.arange(n) < nj[:, None]
-    # Tie groups of the present entries: ids, sizes and average ranks.
-    gid = np.cumsum(first, axis=1) - 1 + n * np.arange(q)[:, None]
-    sizes = np.bincount(gid[present_sorted], minlength=n * q).reshape(q, n)
-    half_rank = np.cumsum(sizes, axis=1) - sizes / 2.0  # average rank - 1/2
-    u = np.zeros((q, n))
-    np.put_along_axis(u, order, half_rank.ravel()[gid] * present_sorted, axis=1)
-    u /= nj[:, None]
-    sigma = np.sqrt(np.maximum((1.0 - (sizes**3.0).sum(axis=1) / nj**3.0) / 12.0, 0.0))
+    u, sigma = mid_ranks(order, first, nj)
     w = present.astype(float)
     s1 = (u - 0.5) / sigma[:, None] * w
     scores, m_used, _, _ = recurrence_scores(s1, w, nj, m)

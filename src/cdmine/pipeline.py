@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,10 +22,10 @@ from .cdfdr import (
     log_p_to_z,
 )
 from .comp_density import TwoSampleData, estimate_cd, pp_plot_points, theta_hat
-from .cr import CrResult, categorize_rows, cr_result, null_pvalue, rank_variables
+from .cr import CrResult, categorize_rows, null_pvalue, rank_variables
 from .dataset import Dataset
-from .errors import AllMissing, ConfigError, TooFewItems
-from .midrank import VariableColumn, mid_rank_transform
+from .errors import ConfigError, TooFewItems
+from .midrank import mid_rank_transform
 from .panel import PanelCr, panel_cr
 from .score_basis import DEFAULT_M, check_m, feasible_score_basis
 
@@ -98,52 +98,6 @@ class AnalysisReport:
 
     def selected_names(self):
         return [self.names[i] for i in self.selected_positions()]
-
-
-def analyze_variable(
-    col: VariableColumn, labels: np.ndarray, m: int
-) -> VariableAnalysis:
-    """Single-column reference path, which the tests check the panel engine
-    against.
-
-    Degenerate columns come back flagged, not raised; m < 1 is a ConfigError.
-    """
-    check_m(m)
-    name = col.name
-    mask = ~col.missing
-    y = np.asarray(labels)[mask]
-
-    def flagged(reason, n_eff):
-        cr = CrResult(
-            components=np.zeros(m),
-            cr=0.0,
-            pvalue=1.0,
-            category="mixed",
-            n_effective=n_eff,
-            variable_id=name,
-            flag=reason,
-        )
-        return VariableAnalysis(name=name, cr=cr)
-
-    try:
-        mid = mid_rank_transform(col)
-    except AllMissing:
-        return flagged("all-missing", int(mask.sum()))
-    if mid.sigma_mid <= 0.0:
-        return flagged("constant", mid.n_effective)
-    counts = np.bincount(y, minlength=2)
-    if counts[0] < 2 or counts[1] < 2:
-        return flagged("class-too-small", mid.n_effective)
-    # Two of each class and sigma > 0: the basis has min(m, n - 2) >= 1 scores
-    # before the residual-norm cut, which keeps at least one.
-    basis = feasible_score_basis(mid, m)
-    data = TwoSampleData.from_arrays(mid.u, y)
-    cr = cr_result(data, basis, variable_id=name)
-    if basis.m < m:
-        comps = np.zeros(m)
-        comps[: basis.m] = cr.components
-        cr = replace(cr, components=comps, flag=f"reduced-m:{basis.m}")
-    return VariableAnalysis(name=name, cr=cr)
 
 
 def analyze(

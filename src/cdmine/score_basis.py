@@ -40,10 +40,15 @@ class ScoreBasis:
     b: np.ndarray
 
 
-def check_m(m):
-    """The rule on the number of score functions."""
+def check_m(m, n=None):
+    """The rule on the number of score functions, and with n, that no
+    variable of n rows has more than n - 2 of them."""
     if m < 1:
         raise ConfigError("m must be >= 1")
+    if n is not None and m > n - 2:
+        raise ConfigError(
+            f"m must be <= n - 2 = {n - 2}, the most scores a variable of n = {n} rows has"
+        )
 
 
 def build_score_basis(mid: MidRankVector, m: int = DEFAULT_M) -> ScoreBasis:

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from cdmine.cdfdr import (
     FdrConfig,
     NullMethod,
     cdfdr_pipeline,
+    chi2_logsf,
     cr_to_z,
     estimate_null,
     estimate_residual_density,
@@ -201,6 +203,36 @@ def test_cr_to_z_agrees_with_the_chi2_sf_bridge(m):
     new = cr_to_z(x[unclipped] / 50.0, n=50, m=m)
     assert unclipped.sum() > 4000
     assert np.all(np.abs(new - old) <= 1e-10 * np.maximum(1.0, np.abs(old)))
+
+
+def decimal_chi2_logsf(x, df):
+    """log P(chi-square_df > x) in 60-digit decimal arithmetic, from the
+    closed forms of ``chi2_logsf``; for odd df it drops 2 Phi(-sqrt x),
+    which is below 1e-40 of the sum when x >= 1e40."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = decimal.Decimal(x)
+        if df % 2 == 0:
+            h = x / 2
+            total = sum(h**j / math.factorial(j) for j in range(df // 2))
+            return float(total.ln() - h)
+        t = x.sqrt()
+        odd_factorial = [math.prod(range(1, 2 * j, 2)) for j in range(1, df // 2 + 1)]
+        total = sum(t ** (2 * j - 1) / f for j, f in enumerate(odd_factorial, 1))
+        log_2_phi = decimal.Decimal(2).ln() - x / 2 - (2 * decimal.Decimal(math.pi)).ln() / 2
+        return float(log_2_phi + total.ln())
+
+
+@pytest.mark.parametrize("df", [2, 3, 4, 5, 6, 7, 8, 12, 13, 40, 41])
+def test_chi2_logsf_is_finite_and_silent_where_its_series_overflows(df):
+    """The closed-form series overflows for df >= 5 once x is large (a CR of
+    1e155 at n = 100 and M = 6); such points are summed in log space."""
+    x = np.geomspace(1e3 if df % 2 == 0 else 1e40, 1e300, 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = chi2_logsf(x, df)
+    want = np.array([decimal_chi2_logsf(v, df) for v in x])
+    np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_cr_to_z_broadcasts_per_item_n_and_df():

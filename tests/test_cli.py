@@ -2,11 +2,14 @@ import csv
 import json
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdmine import cli
+from cdmine import cdfdr, cli
 from cdmine.cdfdr import FdrConfig
 from cdmine.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
 from cdmine.comp_density import TwoSampleData, pp_plot_points
@@ -220,7 +223,8 @@ def test_fdr_cr_m_above_n_minus_2_is_rejected_before_reading(tmp_path, capsys, m
                  "--n", "5", "--M", m, "--out", str(out)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == "configuration error: --M must be <= --n - 2 = 3 for --input-kind cr\n"
+    assert err == ("configuration error: m must be <= n - 2 = 3, the most scores a variable "
+                   "of n = 5 rows has\n")
     assert not out.exists()
 
 
@@ -255,6 +259,165 @@ def test_fdr_negative_cr_is_located_and_silent(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "parse error: row 4, column 'cr': CR '-0.1' is negative\n"
     assert not out.exists()
+
+
+def extreme_scores(extremes):
+    """0, 0.1, ..., 2.8, then the given cells: the first extreme one is on
+    row 31."""
+    return [f"{v:.1f}" for v in np.arange(29) * 0.1] + list(extremes)
+
+
+def run_silently(argv):
+    """``main(argv)``, with any warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+@pytest.mark.parametrize(
+    "null_method, extremes",
+    [
+        ("fixed-theoretical", ["1e160"]),
+        ("robust-median-mad", ["1e200", "-1e200"]),
+        ("pooled-moments", ["1e160"]),
+    ],
+)
+def test_fdr_z_past_the_bound_is_located_and_silent(tmp_path, capsys, null_method, extremes):
+    """Past Z_MAX, z**2 overflows: the weights would be inf - inf = nan, or
+    the pooled spread inf."""
+    path = write_scores(tmp_path / "z.csv", extreme_scores(extremes))
+    out = tmp_path / "o.csv"
+    code = run_silently(["fdr", str(path), "--col", "z", "--null-method", null_method,
+                         "--out", str(out)])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == (f"parse error: row 31, column 'z': score {extremes[0]!r} is beyond "
+                   f"{cdfdr.Z_MAX:g} in absolute value\n")
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+def test_fdr_cr_whose_z_would_pass_the_bound_is_located_and_silent(tmp_path, capsys):
+    path = write_scores(tmp_path / "cr.csv", extreme_scores(["1e308"]), col="cr")
+    out = tmp_path / "o.csv"
+    code = run_silently(["fdr", str(path), "--col", "cr", "--input-kind", "cr", "--n", "100",
+                         "--out", str(out)])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == (f"parse error: row 31, column 'cr': score '1e308' is beyond "
+                   f"{cdfdr.Z_MAX**2 / 100:g} in absolute value\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("null_method", [m.value for m in cli.NullMethod])
+@pytest.mark.parametrize("weight_mode", ["theoretical", "empirical"])
+def test_fdr_scores_at_the_bound_give_finite_output(tmp_path, null_method, weight_mode):
+    path = write_scores(tmp_path / "z.csv",
+                        extreme_scores([repr(cdfdr.Z_MAX), repr(-cdfdr.Z_MAX)]))
+    out = tmp_path / "o.csv"
+    assert run_silently(["fdr", str(path), "--col", "z", "--null-method", null_method,
+                         "--weight-mode", weight_mode, "--out", str(out)]) == EXIT_OK
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 31
+    for field in ("z", "u_flat", "inverse_fdr"):
+        assert np.isfinite([float(r[field]) for r in rows]).all(), field
+
+
+def test_fdr_cr_at_the_bound_gives_finite_output(tmp_path):
+    n = 100
+    path = write_scores(tmp_path / "cr.csv", extreme_scores([repr(cdfdr.Z_MAX**2 / n)]),
+                        col="cr")
+    out = tmp_path / "o.csv"
+    assert run_silently(["fdr", str(path), "--col", "cr", "--input-kind", "cr", "--n", str(n),
+                         "--out", str(out)]) == EXIT_OK
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert float(rows[-1]["z"]) == pytest.approx(cdfdr.Z_MAX, rel=1e-3)
+    for field in ("z", "u_flat", "inverse_fdr"):
+        assert np.isfinite([float(r[field]) for r in rows]).all(), field
+
+
+# Finite doubles of every magnitude, with small ones common enough that a
+# null can be fit.
+any_double = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def finite_cells(path, fields):
+    """Whether every cell of the named CSV columns is a finite number or empty."""
+    with open(path) as fh:
+        cells = [row[f] for row in csv.DictReader(fh) for f in fields]
+    return all(c == "" or np.isfinite(float(c)) for c in cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(any_double, min_size=20, max_size=40),
+    st.sampled_from([m.value for m in cli.NullMethod]),
+    st.sampled_from(["theoretical", "empirical"]),
+    st.sampled_from(["z", "cr"]),
+)
+def test_fdr_on_any_finite_scores_ends_in_output_or_a_located_error(
+    tmp_path_factory, scores, null_method, weight_mode, kind
+):
+    """Every finite input gives finite output or a documented exit code,
+    and no warning."""
+    tmp = tmp_path_factory.mktemp("fdr")
+    path = write_scores(tmp / "s.csv", [repr(v) for v in scores])
+    out = tmp / "o.csv"
+    code = run_silently(["fdr", str(path), "--col", "z", "--input-kind", kind, "--n", "50",
+                         "--null-method", null_method, "--weight-mode", weight_mode,
+                         "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_CONFIG)
+    if code == EXIT_OK:
+        assert finite_cells(out, ["z", "u_flat", "inverse_fdr"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(6, 12).flatmap(lambda n: st.lists(
+    st.lists(any_double, min_size=n, max_size=n), min_size=1, max_size=4)))
+def test_rank_on_any_finite_cells_ends_in_output_or_a_located_error(tmp_path_factory, columns):
+    tmp = tmp_path_factory.mktemp("rank")
+    n = len(columns[0])
+    cells = np.array([[repr(v) for v in col] for col in columns]).T
+    path = tmp / "panel.csv"
+    write_cells(path, [f"v{j}" for j in range(len(columns))], cells, np.arange(n) % 2)
+    out = tmp / "o"
+    code = run_silently(["rank", str(path), "--label", "cls", "--M", "2", "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_OK:
+        with open(out / "ranked.csv") as fh:
+            fields = next(csv.reader(fh))[2:]
+        assert finite_cells(out / "ranked.csv", [f for f in fields if f not in
+                                                 ("category", "flag")])
+
+
+@pytest.mark.parametrize("command", [["rank"], ["cd", "--vars", "v0"]])
+@pytest.mark.parametrize("m", ["119", "1000000000000"])
+def test_m_above_n_minus_2_is_rejected_before_the_engine(toy_csv, tmp_path, capsys,
+                                                          command, m):
+    """No variable of the toy panel's 120 rows has more than 118 scores; a
+    huge M must not reach the engine's (p, M) allocation."""
+    out = tmp_path / "o"
+    with mock.patch.object(cli, "panel_cr") as engine, mock.patch.object(cli, "analyze") as run:
+        code = main([command[0], str(toy_csv), "--label", "cls", *command[1:], "--M", m,
+                     "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not engine.called and not run.called
+    assert capsys.readouterr().err == (
+        "configuration error: m must be <= n - 2 = 118, the most scores a variable "
+        "of n = 120 rows has\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["rank"], ["cd", "--vars", "v0"]])
+def test_m_of_n_minus_2_is_accepted(toy_csv, tmp_path, command):
+    assert main([command[0], str(toy_csv), "--label", "cls", *command[1:], "--M", "118",
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 def test_rank_inf_cell_is_a_located_parse_error(tmp_path, capsys):

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from cdmine.comp_density import TwoSampleData, gof_norm, theta_hat
 from cdmine.cr import (
     CrResult,
-    categorize,
+    categorize_rows,
     component_correlations,
-    cr_result,
     cr_statistic,
     null_pvalue,
     rank_variables,
 )
+from cdmine.dataset import Dataset
 from cdmine.midrank import VariableColumn, mid_rank_transform
+from cdmine.pipeline import analyze
 from cdmine.score_basis import build_score_basis
 
 
@@ -24,6 +25,18 @@ def analyzed(values, y, m=4):
     basis = build_score_basis(mid, m)
     data = TwoSampleData.from_arrays(mid.u, np.asarray(y, int))
     return mid, basis, data
+
+
+def analyzed_columns(columns, y, m=4):
+    """``analyze`` of a panel of the given value columns under labels y."""
+    cols = [VariableColumn.from_values(v, name=f"v{j}") for j, v in enumerate(columns)]
+    y = np.asarray(y, int)
+    return analyze(Dataset(cols, y, positive_label="1", n=y.size, p=len(cols)), m=m)
+
+
+def one_column_result(values, y):
+    """The CrResult of ``analyze`` on a one-column panel."""
+    return analyzed_columns([values], y).per_variable[0].cr
 
 
 def test_null_components_small():
@@ -98,18 +111,15 @@ class TestNullPvalue:
 
 class TestCategorize:
     def test_component_labels(self):
-        labels = ["mean", "variance", "skewness", "tail"]
-        for a, want in enumerate(labels):
-            comps = np.full(4, 0.1)
-            comps[a] = 0.9
-            assert categorize(comps) == want
+        rows = np.full((4, 4), 0.1)
+        np.fill_diagonal(rows, 0.9)
+        assert categorize_rows(rows) == ["mean", "variance", "skewness", "tail"]
 
     def test_mixed_when_no_dominant(self):
-        assert categorize(np.array([0.5, 0.5, 0.0, 0.0])) == "mixed"
-        assert categorize(np.zeros(4)) == "mixed"
+        assert categorize_rows(np.array([[0.5, 0.5, 0.0, 0.0], [0.0] * 4])) == ["mixed"] * 2
 
     def test_fifth_component_has_no_label(self):
-        assert categorize(np.array([0.0, 0.0, 0.0, 0.0, 0.9])) == "mixed"
+        assert categorize_rows(np.array([[0.0, 0.0, 0.0, 0.0, 0.9]])) == ["mixed"]
 
 
 def make_result(cr, variable_id, category="mean"):
@@ -163,20 +173,18 @@ def test_cr_invariances():
     rng = np.random.default_rng(33)
     values = np.abs(rng.normal(size=120)) + 0.5
     y = rng.integers(0, 2, 120)
-    _, basis, data = analyzed(values, y)
-    base = cr_result(data, basis)
+    base = one_column_result(values, y)
 
     # monotone transforms leave everything identical
     for g in (np.log, lambda v: 10.0 * v - 3.0):
-        _, basis_g, data_g = analyzed(g(values), y)
-        other = cr_result(data_g, basis_g)
+        other = one_column_result(g(values), y)
         np.testing.assert_array_equal(other.components, base.components)
         assert other.cr == base.cr
         assert other.pvalue == base.pvalue
         assert other.category == base.category
 
     # label relabeling flips component signs but not CR
-    swapped = cr_result(TwoSampleData.from_arrays(data.u, 1 - data.y), basis)
+    swapped = one_column_result(values, 1 - y)
     assert swapped.cr == pytest.approx(base.cr, abs=1e-12)
     np.testing.assert_allclose(np.abs(swapped.components), np.abs(base.components), atol=1e-12)
 
@@ -192,8 +200,7 @@ def test_mixed_panel_categorization_small():
         y[n // 2:] = 1
         loc = rng.normal(size=n) + 1.0 * y
         scale = rng.normal(size=n) * (1.0 + 2.0 * y)
-        for values, want in ((loc, "mean"), (scale, "variance")):
-            _, basis, data = analyzed(values, y)
-            total += 1
-            correct += cr_result(data, basis).category == want
+        categories = analyzed_columns([loc, scale], y).categories
+        total += 2
+        correct += (categories[0] == "mean") + (categories[1] == "variance")
     assert correct / total >= 0.9

@@ -117,5 +117,5 @@ def test_matches_rankdata_and_unique_counts_bit_for_bit(n, n_levels, seed):
     x = rng.choice(levels, n)
     mr = mid_rank_transform(column(x))
     np.testing.assert_array_equal(mr.u, (rankdata(x, method="average") - 0.5) / n)
-    p_hat = np.unique(x, return_counts=True)[1] / n
-    assert mr.sigma_mid == float(np.sqrt(max((1.0 - np.sum(p_hat**3)) / 12.0, 0.0)))
+    sizes = np.unique(x, return_counts=True)[1]
+    assert mr.sigma_mid == float(np.sqrt(max((1.0 - np.sum(sizes**3.0) / n**3.0) / 12.0, 0.0)))

@@ -1,6 +1,12 @@
-"""The batched panel engine behind ``analyze`` against the single-column
-reference path ``analyze_variable``, and its components against the curve
-coefficients drawn with its ``m_used``."""
+"""The batched panel engine behind ``analyze`` against an independent
+single-column oracle, and its components against the curve coefficients
+drawn with its ``m_used``.
+
+The oracle shares no code with the engine: its mid-ranks come from
+``scipy.stats.rankdata`` and its scores from a QR factorisation of the
+Vandermonde matrix of the centred mid-ranks, whose Q columns span the same
+nested polynomial subspaces as the engine's recurrence; the sign of each
+diagonal entry of R fixes the sign of each score."""
 
 import tracemalloc
 from unittest import mock
@@ -9,15 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2, rankdata
 
 from cdmine import panel
 from cdmine.comp_density import TwoSampleData, theta_hat
 from cdmine.dataset import ColumnMatrix, Dataset, load_csv
 from cdmine.errors import ConfigError, NonFinite
 from cdmine.midrank import VariableColumn, mid_rank_transform
-from cdmine.pipeline import analyze, analyze_variable
+from cdmine.pipeline import analyze
 from cdmine.score_basis import feasible_score_basis
 
+CATEGORIES = ("mean", "variance", "skewness", "tail")
 KINDS = (
     "continuous",
     "shifted",
@@ -67,6 +75,42 @@ def make_panel(n, n1, kinds, missing_rate, seed):
     return Dataset(variables=cols, labels=y, positive_label="1", n=n, p=len(cols))
 
 
+def oracle(values, missing, labels, m):
+    """(flag, n_effective, m_used, components (m,)) of one column.
+
+    m_used is min(m, n_j - 2, distinct - 1): the polynomials in the mid-rank
+    that are orthogonal to the constant and not zero on the sample.  The
+    flags come from the counts, all-missing before constant before
+    class-too-small; a column with fewer than m scores is reduced-m."""
+    present = ~np.asarray(missing)
+    x = np.asarray(values)[present]
+    y = np.asarray(labels)[present].astype(float)
+    nj, n1, distinct = x.size, int(y.sum()), np.unique(x).size
+    comps = np.zeros(m)
+    if nj < 2:
+        return "all-missing", nj, 0, comps
+    if distinct == 1:
+        return "constant", nj, 0, comps
+    if n1 < 2 or nj - n1 < 2:
+        return "class-too-small", nj, 0, comps
+    k = min(m, nj - 2, distinct - 1)
+    s = (rankdata(x) - 0.5) / nj - 0.5
+    q, r = np.linalg.qr(np.vander(s, k + 1, increasing=True))
+    yc = y - y.mean()
+    comps[:k] = np.sign(np.diag(r)[1:]) * (q[:, 1:].T @ yc) / np.linalg.norm(yc)
+    return ("" if k == m else f"reduced-m:{k}"), nj, k, comps
+
+
+def oracle_category(components):
+    """The label of the component that carries more than half of CR, else
+    'mixed'; components past the fourth have no label."""
+    sq = components**2
+    top = int(sq.argmax())
+    if top < len(CATEGORIES) and sq[top] > 0.5 * sq.sum() > 0.0:
+        return CATEGORIES[top]
+    return "mixed"
+
+
 def category_is_determined(components):
     """False when CR is zero up to roundoff or the top component's share of
     CR is within roundoff of the one-half cut; either path may then round
@@ -78,19 +122,22 @@ def category_is_determined(components):
 
 def assert_matches_reference(ds, m):
     report = analyze(ds, m=m)
-    ref = [analyze_variable(col, ds.labels, m) for col in ds.variables]
-    for got, want in zip(report.per_variable, ref):
-        a, b = got.cr, want.cr
-        assert got.name == want.name
-        assert (a.flag, a.n_effective) == (b.flag, b.n_effective), a.variable_id
-        if category_is_determined(b.components):
-            assert a.category == b.category, a.variable_id
-        assert np.abs(np.asarray(a.components) - b.components).max() <= TOL, a.variable_id
-        assert abs(a.cr - b.cr) <= TOL, a.variable_id
-        assert a.pvalue == pytest.approx(b.pvalue, rel=1e-9, abs=1e-300)
-    # Same ranks, except that columns whose reference CRs agree within the
+    cols = ds.variables
+    ref_cr = np.zeros(len(cols))
+    for i, got in enumerate(report.per_variable):
+        flag, n_eff, k, comps = oracle(cols.values[i], cols.missing[i], ds.labels, m)
+        a = got.cr
+        assert got.name == cols.names[i]
+        assert (a.flag, a.n_effective, report.panel.m_used[i]) == (flag, n_eff, k), a.variable_id
+        if category_is_determined(comps):
+            assert a.category == oracle_category(comps), a.variable_id
+        ref_cr[i] = comps @ comps
+        assert np.abs(np.asarray(a.components) - comps).max() <= TOL, a.variable_id
+        assert abs(a.cr - ref_cr[i]) <= TOL, a.variable_id
+        pvalue = chi2.sf(n_eff * ref_cr[i], k) if k else 1.0
+        assert a.pvalue == pytest.approx(pvalue, rel=1e-9, abs=1e-300)
+    # Same ranks, except that columns whose oracle CRs agree within the
     # tolerance may come in either order.
-    ref_cr = np.array([r.cr.cr for r in ref])
     assert np.all(np.diff(ref_cr[report.order]) <= TOL)
     return report
 

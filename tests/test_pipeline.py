@@ -12,7 +12,6 @@ from cdmine.midrank import VariableColumn, mid_rank_transform
 from cdmine.pipeline import (
     CURVE_GRID_SIZE,
     analyze,
-    analyze_variable,
     export_plots,
     write_ranked_csv,
     write_summary_json,
@@ -213,11 +212,10 @@ def test_ranked_csv_rows_follow_positions_not_names(tmp_path):
     assert report.selected_names().count("dup") == 1
 
 
-def test_analyze_variable_class_too_small():
-    col = VariableColumn.from_values(np.arange(30.0))
+def test_one_column_class_too_small():
     y = np.zeros(30, int)
     y[0] = 1
-    va = analyze_variable(col, y, 4)
+    va = analyze(make_dataset(np.arange(30.0)[:, None], y), m=4).per_variable[0]
     assert va.cr.flag == "class-too-small"
     assert va.cr.cr == 0.0
 
