@@ -176,14 +176,15 @@ def cmd_cd(args) -> int:
         raise ConfigError(f"unknown variables: {unknown}")
     check_m(args.M, dataset.n)
     os.makedirs(args.out, exist_ok=True)
-    panel = panel_cr(dataset.variables, dataset.labels, args.M)
+    # A column's flag and score count do not depend on the other columns.
+    names = list(dict.fromkeys(args.vars))
+    panel = panel_cr(dataset.variables[[position[v] for v in names]], dataset.labels, args.M)
     stems = set()
-    for name in dict.fromkeys(args.vars):
-        i = position[name]
-        if not panel.m_used[i]:
-            print(f"{name}: skipped ({panel.flags[i]})")
+    for k, name in enumerate(names):
+        if not panel.m_used[k]:
+            print(f"{name}: skipped ({panel.flags[k]})")
             continue
-        written = write_curves(dataset, i, int(panel.m_used[i]), args.out, stems)
+        written = write_curves(dataset, position[name], int(panel.m_used[k]), args.out, stems)
         print(f"{name}: wrote {', '.join(os.path.basename(p) for p in written)}")
     return EXIT_OK
 

@@ -4,6 +4,7 @@ binary label."""
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import re
 from collections.abc import Sequence
@@ -27,7 +28,7 @@ _LINE_END = re.compile(rb"\r\n?|\n")
 class ColumnMatrix(Sequence):
     """Feature columns held as the rows of one (p, n) value matrix and its
     missing mask.  Item i is a ``VariableColumn`` of row views; a slice is
-    a ColumnMatrix of views."""
+    a ColumnMatrix of views, and a list of indices one of copied rows."""
 
     values: np.ndarray  # (p, n)
     missing: np.ndarray  # (p, n) bool
@@ -39,6 +40,8 @@ class ColumnMatrix(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return ColumnMatrix(self.values[i], self.missing[i], self.names[i])
+        if isinstance(i, list):
+            return ColumnMatrix(self.values[i], self.missing[i], [self.names[j] for j in i])
         return VariableColumn(values=self.values[i], missing=self.missing[i], name=self.names[i])
 
     @classmethod
@@ -92,16 +95,18 @@ def load_csv(
     """Parse a header-bearing CSV into feature columns and a binary label.
 
     A feature cell that matches a missing token, as written or stripped, or
-    that reads as NaN is missing.  Every feature cell goes into one (p, n)
-    matrix, returned as a ColumnMatrix with its missing mask.  A file of
-    plain ASCII cells (see ``_parse_plain``) is parsed in row chunks
-    straight into that matrix; any other file, and any plain file with a
-    fault, is read by ``csv.reader`` instead.  A ragged row, a non-numeric
-    cell, an infinite value, a repeated header name and a field longer than
-    ``csv.field_size_limit()`` are each a ParseError with its location; the
-    first bad row or cell in file order wins, and an infinite value is
-    reported only when every cell parses, from the lowest column and then
-    the lowest row.
+    that reads as NaN is missing; any other feature cell is read as
+    ``float()`` reads it.  Every feature cell goes into one (p, n) matrix,
+    returned as a ColumnMatrix with its missing mask.  A file of plain ASCII
+    cells (see ``_parse_plain``) is parsed by numpy's C parser, one chunk of
+    rows at a time, straight into that matrix.  Any other file, and any
+    plain file that parser rejects, is read by ``csv.reader`` instead, which
+    gives the same matrix or locates the fault.  A ragged row, a
+    non-numeric cell, an infinite value, a repeated header name and a field
+    longer than ``csv.field_size_limit()`` are each a ParseError with its
+    location; the first bad row or cell in file order wins, and an infinite
+    value is reported only when every cell parses, from the lowest column
+    and then the lowest row.
     """
     missing = set(missing_tokens)
     parsed = _parse_plain(path, label_column, missing)
@@ -135,26 +140,30 @@ def _parse_plain(path, label_column, missing):
     space and ``"``, so ``csv.reader`` would split each line on commas and
     ``str.strip`` would change no cell.  Its lines are non-empty and hold
     the header's comma count, and its fields fit within
-    ``csv.field_size_limit()``; its
-    header holds the label column once and no name twice; its cells all
-    parse, and none is infinite.  Lines are parsed CHUNK_CELLS cells at a
-    time: per-row lists and a whole-file cell list are never built.
+    ``csv.field_size_limit()``; its header holds the label column once and
+    no name twice.  Data lines are parsed CHUNK_CELLS cells at a time: a
+    scan of the chunk's comma and LF bytes gives every cell's bounds, the
+    label cells are read from them, each missing-token cell is replaced by
+    ``nan``, and numpy's C ``loadtxt`` parses the feature columns straight
+    into the matrix.  That parser reads a cell as ``float()`` does, bit for
+    bit, but it rejects what ``float()`` alone accepts, such as ``1_0``.  A
+    cell it rejects, or an infinite value, returns None, and the file is
+    then read by ``_parse_rows``.  ``comments=None`` keeps ``#`` a plain
+    byte.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if data.translate(None, _PLAIN_BYTES):
         return None
-    lines = data.decode("ascii").split("\n")
+    lines = data.split(b"\n")
     del data
-    if lines[-1] == "":
+    if lines[-1] == b"":
         lines.pop()
     if len(lines) < 2 or not all(lines):
         return None
-    header = lines[0].split(",")
+    header = lines[0].decode("ascii").split(",")
     w = len(header)
     if len(set(header)) < w or label_column not in header:
-        return None
-    if set(map(str.count, lines, itertools.repeat(","))) != {w - 1}:
         return None
     # Only a line over csv.reader's field limit can hold a field over it.
     limit = csv.field_size_limit()
@@ -162,23 +171,44 @@ def _parse_plain(path, label_column, missing):
     if wide and max(map(len, header)) > limit:
         return None
     label_idx = header.index(label_column)
+    features = [j for j in range(w) if j != label_idx]
+    # Only an ASCII token can equal a cell of a plain file.
+    tokens = [t.encode("ascii") for t in missing if t.isascii()]
     n, p = len(lines) - 1, w - 1
     X = np.empty((p, n))
     labels = []
-    to_nan = dict.fromkeys(missing, "nan")
     step = max(1, CHUNK_CELLS // w)
     for a in range(0, n, step):
-        chunk = lines[1 + a : 1 + a + step]
-        cells = ",".join(chunk).split(",")
-        if wide and max(map(len, cells)) > limit:
+        rows = lines[1 + a : 1 + a + step]
+        chunk = b"\n".join([*rows, b""])
+        raw = np.frombuffer(chunk, np.uint8)
+        ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+        # Each line holds the header's comma count when every w-th bound is an LF.
+        if ends.size != len(rows) * w or (raw[ends[w - 1 :: w]] != ord("\n")).any():
             return None
-        labels += cells[label_idx::w]
-        del cells[label_idx::w]
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        sizes = ends - starts
+        if wide and sizes.max() > limit:
+            return None
+        labels += [chunk[s:e].decode("ascii") for s, e in
+                   zip(starts[label_idx::w].tolist(), ends[label_idx::w].tolist())]
+        is_token = np.zeros(sizes.size, dtype=bool)
+        for t in tokens:
+            hits = np.flatnonzero(sizes == len(t))
+            for i, byte in enumerate(t):
+                hits = hits[raw[starts[hits] + i] == byte]
+            is_token[hits] = True
+        cells = np.flatnonzero(is_token)
+        if cells.size:
+            # The bytes between token cells, joined by "nan" in their place.
+            kept = zip([0, *ends[cells].tolist()], [*starts[cells].tolist(), len(chunk)])
+            chunk = b"nan".join([chunk[s:e] for s, e in kept])
         try:
-            flat = np.fromiter(map(float, map(to_nan.get, cells, cells)), float, len(cells))
+            block = np.loadtxt(io.BytesIO(chunk), delimiter=",", comments=None,
+                               usecols=features, ndmin=2)
         except ValueError:
             return None
-        X[:, a : a + len(chunk)] = flat.reshape(len(chunk), p).T
+        X[:, a : a + len(rows)] = block.T
     if np.isinf(X).any():
         return None
     return header[:label_idx] + header[label_idx + 1 :], X, labels

@@ -101,13 +101,15 @@ def test_nan_cell_is_missing(tmp_path):
     np.testing.assert_array_equal(ds.variables[0].present(), [1.0, 2.0, 3.0])
 
 
-@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "cell", ["inf", "-inf", "Infinity", "1e999", "infinity", "-Infinity", "-1e999", "1" * 400]
+)
 def test_infinite_cell_is_a_located_parse_error(tmp_path, cell):
     path = write(tmp_path, f"a,b,cls\n1,2,0\n3,4,1\n5,{cell},0\n")
     with pytest.raises(ParseError) as err:
         load_csv(path, label_column="cls")
     assert (err.value.row, err.value.column) == (4, "b")
-    assert str(err.value).startswith("row 4, column 'b': ")
+    assert str(err.value) == f"row 4, column 'b': infinite value {cell!r}"
 
 
 def test_hepatitis_shaped_file(tmp_path):
@@ -219,6 +221,9 @@ def test_parsed_values_equal_float_of_the_stripped_cell(data):
         ("a,b,cls\n1,x,0\n1,2\n", 2, "b"),
         ("a,b,cls\n1,2\n1,x,0\n", 2, None),
         ("a,b,cls\n1,2,0\nx,2\n", 3, None),
+        # one field too many, then one too few: the cell count is right
+        ("a,b,cls\n1,2,3,0\n4,1\n", 2, None),
+        ("a,b,cls\n1,2,0\n1,2\n3,4,5,1\n", 3, None),
         # an unparseable cell beats an earlier infinite one
         ("a,b,cls\n1,inf,0\nx,2,1\n", 3, "a"),
         # among infinite cells the lowest column wins, then the lowest row
@@ -395,21 +400,28 @@ def test_load_csv_equals_the_row_by_row_reference(case):
     np.testing.assert_array_equal(got[~mask].view(np.uint64), values[~mask].view(np.uint64))
     assert np.isnan(got[mask]).all()
     # A valid file without quotes, CR, spaces or non-ASCII takes the plain path.
-    if text.isascii() and not set(' "\r\t') & set(text) and "\n\n" not in text:
+    if (text.isascii() and not set(' "\r\t') & set(text) and "\n\n" not in text
+            and "_" not in text.partition("\n")[2]):
         assert plain is not None
 
 
-def test_files_that_are_not_plain_take_the_csv_reader(tmp_path, monkeypatch):
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The calls load_csv makes to its csv.reader path."""
     calls = []
     real = dataset._parse_rows
     monkeypatch.setattr(dataset, "_parse_rows", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_files_that_are_not_plain_take_the_csv_reader(tmp_path, fallbacks):
     plain = "a,cls\n1,0\n2,1\n"
     for text in [plain, plain.replace("\n", "\r\n"), plain.replace("a,", '"a",'),
                  plain.replace("1,0", " 1,0"), plain.replace("a,", "a\xa0,")]:
         ds = load_csv(write(tmp_path, text), label_column="cls")
         assert ds.names == [text.split(",")[0].strip('"')]
         assert ds.variables.values.tolist() == [[1.0, 2.0]]
-    assert len(calls) == 4
+    assert len(fallbacks) == 4
 
 
 def test_chunks_fill_the_whole_matrix(tmp_path, monkeypatch):
@@ -418,6 +430,86 @@ def test_chunks_fill_the_whole_matrix(tmp_path, monkeypatch):
     ds = load_csv(write(tmp_path, "a,b,cls\n" + "\n".join(rows)), label_column="cls")
     assert ds.variables.values.tolist() == [list(range(9)), list(range(0, 90, 10))]
     assert ds.labels.tolist() == [i % 2 for i in range(9)]
+
+
+def test_a_plain_cell_that_only_float_reads_takes_the_csv_reader(tmp_path, fallbacks):
+    """numpy's parser rejects the digit separator that float() accepts."""
+    path = write(tmp_path, "a,cls\n1_0,0\n2,1\n")
+    assert dataset._parse_plain(path, "cls", {"NA"}) is None
+    ds = load_csv(path, label_column="cls")
+    assert ds.variables.values.tolist() == [[10.0, 2.0]]
+    assert len(fallbacks) == 1
+
+
+# Finite number spellings of plain cells: signed zero, the least subnormal
+# and cells that round to it or to zero, NaN spellings, bare points, and
+# 400-digit mantissas, two of them at and just past the halfway point
+# between 2**53 and 2**53 + 2.  Infinite spellings are in
+# test_infinite_cell_is_a_located_parse_error.
+FINITE_CELLS = [
+    "-0", "0", "4.9e-324", "2e-324", "1e-400", "2.2250738585072011e-308",
+    "1.7976931348623157e308", ".5", "5.", "+.5e+3", "-1.5E-3", "+2",
+    "nan", "-nan", "NAN", "+nan", "NaN",
+    "1" * 400 + "e-390",
+    "9007199254740993" + "0" * 384 + "e-384",
+    "9007199254740993" + "0" * 383 + "1e-384",
+    "0." + "0" * 320 + "7" * 79,
+]
+
+
+@pytest.mark.parametrize("cell", FINITE_CELLS)
+def test_a_plain_cell_reads_as_float_reads_it_bit_for_bit(tmp_path, fallbacks, cell):
+    """The cell sits first in one row and last in another."""
+    path = write(tmp_path, f"a,cls,b\n1,0,{cell}\n{cell},1,2\n")
+    ds = load_csv(path, label_column="cls")
+    assert not fallbacks
+    want = np.float64(float(cell)).view(np.uint64)
+    got = ds.variables.values.view(np.uint64)
+    assert got[1, 0] == got[0, 1] == want
+    assert ds.variables.missing[1, 0] == math.isnan(float(cell))
+
+
+# Tokens first and last in a row, side by side, and the empty token; the
+# label column holds a token too, and -9990 is not -999.
+TOKEN_TEXT = "a,b,cls,c\nNA,1,NA,-999\n?,,ok,2\n3,-999,NA,\n,?,ok,-9990\n"
+
+
+@pytest.mark.parametrize("chunk_cells", [dataset.CHUNK_CELLS, 4, 8])
+@pytest.mark.parametrize("tokens", [("NA", "", "?"), ("-999", "NA", "", "?")])
+def test_missing_tokens_anywhere_in_a_row_are_missing_cells(
+    tmp_path, monkeypatch, fallbacks, chunk_cells, tokens
+):
+    monkeypatch.setattr(dataset, "CHUNK_CELLS", chunk_cells)  # 1 or 2 rows a chunk
+    ds = load_csv(write(tmp_path, TOKEN_TEXT), label_column="cls", missing_tokens=tokens)
+    assert not fallbacks
+    nan = float("nan")
+    m999 = nan if "-999" in tokens else -999.0
+    want = np.array([[nan, nan, 3.0, nan], [1.0, nan, m999, nan], [m999, 2.0, nan, -9990.0]])
+    np.testing.assert_array_equal(ds.variables.values, want)
+    np.testing.assert_array_equal(ds.variables.missing, np.isnan(want))
+    assert (ds.positive_label, ds.labels.tolist()) == ("ok", [0, 1, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "text, row, column, cell",
+    [
+        ("a,cls,b\n1,0,2#x\n3,1,4\n", 2, "b", "2#x"),
+        ("a,cls,b\n1,0,2\n#3,1,4\n", 3, "a", "#3"),
+        ("a,cls,b\n1,0,#\n3,1,4\n", 2, "b", "#"),
+    ],
+)
+def test_a_hash_in_a_cell_starts_no_comment(tmp_path, text, row, column, cell):
+    with pytest.raises(ParseError) as err:
+        load_csv(write(tmp_path, text), label_column="cls")
+    assert str(err.value) == f"row {row}, column {column!r}: cannot parse {cell!r} as a number"
+
+
+def test_a_label_column_alone_takes_the_plain_path(tmp_path, fallbacks):
+    ds = load_csv(write(tmp_path, "cls\n#\nNA\n#\n"), label_column="cls")
+    assert not fallbacks
+    assert (ds.n, ds.p, ds.names) == (3, 0, [])
+    assert ds.variables.values.shape == (0, 3)
+    assert (ds.positive_label, ds.labels.tolist()) == ("NA", [0, 1, 0])
 
 
 @pytest.mark.parametrize("where", ["header", "cell", "label"])
@@ -444,17 +536,14 @@ def field_limit_50():
 
 
 def test_a_line_over_the_csv_limit_with_short_fields_takes_the_plain_path(
-    tmp_path, monkeypatch, field_limit_50
+    tmp_path, fallbacks, field_limit_50
 ):
-    calls = []
-    real = dataset._parse_rows
-    monkeypatch.setattr(dataset, "_parse_rows", lambda *a: calls.append(a) or real(*a))
     names = [f"g{j}" for j in range(30)]
     rows = [[f"{i}.{j}" for j in range(30)] + [str(i % 2)] for i in range(4)]
     text = "\n".join(",".join(r) for r in [names + ["cls"], *rows]) + "\n"
     assert min(map(len, text.splitlines())) > field_limit_50
     ds = load_csv(write(tmp_path, text), label_column="cls")
-    assert not calls
+    assert not fallbacks
     assert ds.names == names
     assert ds.variables.values.T.tolist() == [[float(c) for c in r[:-1]] for r in rows]
 
@@ -462,7 +551,7 @@ def test_a_line_over_the_csv_limit_with_short_fields_takes_the_plain_path(
     with pytest.raises(ParseError) as err:
         load_csv(write(tmp_path, text.replace("2.7,", big + ",")), label_column="cls")
     assert (err.value.row, str(err.value)) == (4, "row 4: field larger than field limit (50)")
-    assert len(calls) == 1
+    assert len(fallbacks) == 1
 
 
 def test_a_list_of_columns_and_the_matrix_give_the_same_dataset_api(tmp_path):

@@ -178,6 +178,23 @@ def test_curve_coefficients_are_the_engine_components(case):
         assert np.abs(theta_hat(data, basis) - want).max() <= TOL, col.name
 
 
+@settings(max_examples=100, deadline=None)
+@given(panels(), st.data())
+def test_a_subset_of_columns_gets_the_full_panel_s_flags_and_score_counts(case, data):
+    """``cd`` runs the engine on its named columns only, in any order and
+    with repeats: a column's flag, m_used and components do not depend on
+    the other columns of the panel."""
+    ds, m = case
+    full = panel.panel_cr(ds.variables, ds.labels, m)
+    idx = data.draw(st.lists(st.integers(0, ds.p - 1), min_size=1, max_size=8))
+    subset = ds.variables[idx]
+    assert subset.names == [ds.names[i] for i in idx]
+    sub = panel.panel_cr(subset, ds.labels, m)
+    assert sub.flags == [full.flags[i] for i in idx]
+    np.testing.assert_array_equal(sub.m_used, full.m_used[idx])
+    assert np.abs(sub.components - full.components[idx]).max() <= TOL
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
 def test_n_near_m_plus_one(seed, extra):
