@@ -67,12 +67,15 @@ class ResidualDensity:
 
     def __call__(self, u):
         """The floored series 1 + sum_k coeffs[..., k] P_{k+1}(u).  A zeroed
-        coefficient adds exactly 0, so a term no row keeps is skipped."""
+        coefficient adds exactly 0, so a term no row keeps is skipped, and
+        the recurrence stops at the last term a row keeps."""
         u = np.asarray(u, dtype=float)
         d = np.ones(u.shape)
-        n_coeffs = self.kept.shape[-1]
-        for k in np.flatnonzero(self.kept.reshape(-1, n_coeffs).any(axis=0)):
-            _add_term(d, self.coeffs[..., k], _legendre01(k + 1, u))
+        used = self.kept.reshape(-1, self.kept.shape[-1]).any(axis=0)
+        n_terms = np.flatnonzero(used).max(initial=-1) + 1
+        for k, term in enumerate(_legendre_terms(u, n_terms)):
+            if used[k]:
+                _add_term(d, self.coeffs[..., k], term)
         return np.maximum(d, DENSITY_FLOOR)
 
 
@@ -167,8 +170,8 @@ def estimate_residual_density(u_flat, n_coeffs: int = FdrConfig.n_coeffs) -> Res
 
 
 def _fit_residual(u_flat, n_coeffs: int):
-    """(residual density, its values at u_flat) from one pass over the
-    Legendre terms at u_flat.
+    """(residual density, its values at u_flat) from one pass of the
+    Legendre recurrence at u_flat.
 
     theta_k is a mean along the last axis, and whether it is kept depends on
     term k alone, so each term is added to the series as soon as it is fit,
@@ -179,8 +182,7 @@ def _fit_residual(u_flat, n_coeffs: int):
     coeffs = np.empty(u.shape[:-1] + (n_coeffs,))
     kept = np.empty(coeffs.shape, dtype=bool)
     d = np.ones(u.shape)
-    for k in range(n_coeffs):
-        term = _legendre01(k + 1, u)
+    for k, term in enumerate(_legendre_terms(u, n_coeffs)):
         theta = term.mean(axis=-1)
         kept[..., k] = theta**2 > 2.0 / p
         coeffs[..., k] = np.where(kept[..., k], theta, 0.0)
@@ -345,6 +347,34 @@ def _col(x):
     return x[..., None] if np.ndim(x) else x
 
 
-def _legendre01(k: int, u):
-    """Orthonormal shifted Legendre polynomial on (0, 1)."""
-    return np.sqrt(2.0 * k + 1.0) * eval_legendre(k, 2.0 * np.asarray(u) - 1.0)
+def _legendre_terms(u, n: int):
+    """Yield the orthonormal shifted Legendre polynomials sqrt(2k + 1)
+    P_k(2u - 1) at u, for k = 1 ... n, from one three-term recurrence.
+
+    Each term equals ``sqrt(2k + 1) * eval_legendre(k, 2u - 1)`` bit for bit:
+    the recurrence repeats scipy's integer-degree loop operation for
+    operation, and where |x| < 1e-5, where scipy sums a power series
+    instead, the term is that scipy call.  The yielded array is one buffer,
+    overwritten by the next term, which the caller may overwrite too.
+    """
+    x = 2.0 * np.asarray(u, dtype=float) - 1.0
+    small = np.abs(x) < 1e-5
+    x_small = x[small]
+    x_minus_1 = x - 1.0
+    d = x_minus_1.copy()
+    p = x  # P_k, updated in place from here on
+    term = np.empty(x.shape)
+    for k in range(1, n + 1):
+        if k > 1:
+            # d = ((2j + 1)/(j + 1)) (x - 1) P_j + (j/(j + 1)) d; P_k = P_j + d
+            j = k - 1.0
+            np.multiply((2.0 * j + 1.0) / (j + 1.0), x_minus_1, out=term)
+            term *= p
+            d *= j / (j + 1.0)
+            d += term
+            p += d
+        scale = np.sqrt(2.0 * k + 1.0)
+        np.multiply(p, scale, out=term)
+        if x_small.size:
+            term[small] = scale * eval_legendre(k, x_small)
+        yield term

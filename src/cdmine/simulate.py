@@ -126,14 +126,17 @@ def naive_two_step_baseline(
     edges = np.linspace(lo, hi, bins + 1, axis=-1)
     idx = ((z - lo[:, None]) / span * bins).astype(np.intp)
     idx[idx == bins] -= 1
-    idx[z < np.take_along_axis(edges, idx, axis=-1)] -= 1
-    idx[(z >= np.take_along_axis(edges, idx + 1, axis=-1)) & (idx != bins - 1)] += 1
+    # Gathers index the flat edges and densities, with each row's offset.
     rows = len(z)
-    counts = np.bincount((idx + bins * np.arange(rows)[:, None]).ravel(),
-                         minlength=rows * bins).reshape(rows, bins)
+    row = np.arange(rows)[:, None]
+    flat_edges = edges.ravel()
+    idx[z < flat_edges[idx + (bins + 1) * row]] -= 1
+    idx[(z >= flat_edges[idx + 1 + (bins + 1) * row]) & (idx != bins - 1)] += 1
+    cell = idx + bins * row
+    counts = np.bincount(cell.ravel(), minlength=rows * bins).reshape(rows, bins)
     dens = counts / np.diff(edges, axis=-1) / counts.sum(axis=-1, keepdims=True)
     dens = np.maximum(dens, 1.0 / (z.shape[-1] * span))
-    fdr_hat = norm_pdf(z) / np.take_along_axis(dens, idx, axis=-1)
+    fdr_hat = norm_pdf(z) / dens.ravel()[cell]
     return ((fdr_hat <= level) & ~flat[:, None]).reshape(shape)
 
 
@@ -141,7 +144,7 @@ def run_experiment(cfg: SimConfig) -> SimReport:
     cfg.validate()
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(cfg.runs + 1)
-    signals = draw_signals(cfg, np.random.default_rng(children[0]))
+    signals = draw_signals(cfg, _stream(children[0]))
     counts = {m: np.empty(cfg.runs, dtype=int) for m in cfg.methods}
     fdr_config = FdrConfig(fdr_level=cfg.fdr_level)
     chunk = max(1, CHUNK_ITEMS // cfg.p)
@@ -150,7 +153,7 @@ def run_experiment(cfg: SimConfig) -> SimReport:
         z = np.empty((len(streams), cfg.p))
         z[:, : cfg.m_signals] = signals
         for row, child in zip(z, streams):
-            np.random.default_rng(child).standard_normal(out=row[cfg.m_signals :])
+            _stream(child).standard_normal(out=row[cfg.m_signals :])
         for method in cfg.methods:
             if method == "cdfdr":
                 sel = cdfdr_pipeline(z, fdr_config).selected
@@ -161,6 +164,12 @@ def run_experiment(cfg: SimConfig) -> SimReport:
             counts[method][start : start + len(z)] = sel.sum(axis=-1)
     summary = {m: _summarize(c, cfg.m_signals) for m, c in counts.items()}
     return SimReport(config=cfg, counts=counts, summary=summary)
+
+
+def _stream(seed_seq: np.random.SeedSequence) -> np.random.Generator:
+    """The generator ``np.random.default_rng(seed_seq)`` returns, built
+    directly: the same PCG64 stream without default_rng's argument dispatch."""
+    return np.random.Generator(np.random.PCG64(seed_seq))
 
 
 def _summarize(counts: np.ndarray, truth: int) -> dict:

@@ -4,11 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import eval_legendre
 
 from cdmine.cdfdr import (
     DENSITY_FLOOR,
+    U_EPS,
     FdrConfig,
     NullMethod,
+    ResidualDensity,
+    _legendre_terms,
     cdfdr_pipeline,
     chi2_logsf,
     cr_to_z,
@@ -24,6 +28,11 @@ from cdmine.cdfdr import (
 )
 from cdmine.cr import null_pvalue
 from cdmine.errors import ConfigError, NonFinite, TooFewItems, ZeroSpread
+
+
+def legendre01(k, u):
+    """The orthonormal shifted Legendre polynomial, one scipy call per degree."""
+    return np.sqrt(2.0 * k + 1.0) * eval_legendre(k, 2.0 * np.asarray(u) - 1.0)
 
 
 class TestEstimateNull:
@@ -88,9 +97,7 @@ class TestResidualDensity:
         grid = np.linspace(5e-5, 1 - 5e-5, 20001)
         raw = np.ones_like(grid)
         for k in np.flatnonzero(resid.kept):
-            from cdmine.cdfdr import _legendre01
-
-            raw += resid.coeffs[k] * _legendre01(k + 1, grid)
+            raw += resid.coeffs[k] * legendre01(k + 1, grid)
         assert np.trapezoid(raw, grid) == pytest.approx(1.0, abs=1e-3)
 
     def test_gaussian_shift_mixture_piles_at_right_end(self):
@@ -103,6 +110,50 @@ class TestResidualDensity:
     def test_floor(self):
         resid = estimate_residual_density(np.full(100, 0.999))
         assert resid(np.array([0.5]))[0] >= DENSITY_FLOOR
+
+
+def _legendre_points(size):
+    """Random u, the clamp bounds, 0, 1/2 and 1, and u with |2u - 1| on, just
+    under and just over 1e-5, where scipy leaves its recurrence for a power
+    series, plus random u inside that band; padded with random u to size."""
+    rng = np.random.default_rng(19)
+    edge = [np.nextafter(t, t + s) for t in (0.5 + 0.5e-5, 0.5 - 0.5e-5) for s in (-1, 0, 1)]
+    x_edge = np.abs(2.0 * np.array(edge) - 1.0)
+    assert (x_edge < 1e-5).any() and (x_edge >= 1e-5).any()
+    u = np.r_[U_EPS, 1.0 - U_EPS, 0.0, 0.5, 1.0, edge, 0.5 + rng.uniform(-0.5e-5, 0.5e-5, 500)]
+    return np.r_[u, rng.uniform(size=size - u.size)]
+
+
+@pytest.mark.parametrize("shape", [(3000,), (4, 750), (2, 3, 500)])
+def test_legendre_terms_equal_scipy_bit_for_bit(shape):
+    u = _legendre_points(int(np.prod(shape))).reshape(shape)
+    for k, term in enumerate(_legendre_terms(u, 9), start=1):
+        np.testing.assert_array_equal(term, legendre01(k, u), strict=True)
+    assert k == 9
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_residual_density_equals_the_scipy_series_bit_for_bit(batch):
+    p = 1000
+    u = _legendre_points(int(np.prod(batch, dtype=int)) * p).reshape(batch + (p,))
+    rng = np.random.default_rng(23)
+    coeffs = rng.normal(scale=0.3, size=batch + (7,))
+    # Term 2 is kept by no row, and the series' last term by none either.
+    kept = rng.uniform(size=coeffs.shape) < 0.7
+    kept[..., 0], kept[..., 1], kept[..., -1] = True, False, False
+    coeffs[~kept] = 0.0
+    d = np.ones(u.shape)
+    for k in range(coeffs.shape[-1]):
+        if kept[..., k].any():
+            d = d + coeffs[..., k, None] * legendre01(k + 1, u)
+    want = np.maximum(d, DENSITY_FLOOR)
+    resid = ResidualDensity(coeffs=coeffs, kept=kept)
+    np.testing.assert_array_equal(resid(u), want, strict=True)
+    # The fit: theta_k is the mean of term k, kept where theta_k^2 > 2/p.
+    fit = estimate_residual_density(u, 7)
+    theta = np.stack([legendre01(k, u).mean(axis=-1) for k in range(1, 8)], axis=-1)
+    np.testing.assert_array_equal(fit.kept, theta**2 > 2.0 / p)
+    np.testing.assert_array_equal(fit.coeffs, np.where(fit.kept, theta, 0.0))
 
 
 class TestInverseFdr:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import warnings
@@ -393,6 +395,123 @@ def test_rank_on_any_finite_cells_ends_in_output_or_a_located_error(tmp_path_fac
             fields = next(csv.reader(fh))[2:]
         assert finite_cells(out / "ranked.csv", [f for f in fields if f not in
                                                  ("category", "flag")])
+
+
+# The first words of stderr for each documented non-zero exit code.
+LOCATED_ERRORS = {
+    EXIT_PARSE: ("parse error: row ",),
+    EXIT_CONFIG: ("configuration error: ", "cannot analyze input: "),
+}
+
+
+def run_to_an_end(argv):
+    """``main(argv)`` with any warning raised as an error: its exit code must
+    be documented, and its stderr empty or one located error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_silently(argv)
+    err = err.getvalue()
+    assert "Warning" not in err and "Traceback" not in err
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert err.startswith(LOCATED_ERRORS[code]) and err.count("\n") == 1, err
+    return code
+
+
+def reject_constant(name):
+    raise AssertionError(f"non-finite number {name} in summary.json")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(any_double, min_size=20, max_size=40),
+    st.sampled_from(["z", "cr"]),
+    st.integers(1, 500),
+    st.integers(1, 4),
+    st.integers(1, 9),
+    st.sampled_from([m.value for m in cli.NullMethod]),
+    st.sampled_from(["theoretical", "empirical"]),
+    st.sampled_from(["two", "left", "right"]),
+)
+def test_fdr_property_any_finite_magnitude(
+    tmp_path_factory, scores, kind, n, m, series, null_method, weight_mode, sides
+):
+    """fdr on finite scores up to the largest double, under every setting,
+    ends in a full table of finite numbers or a located error."""
+    tmp = tmp_path_factory.mktemp("fdr")
+    if kind == "cr":
+        scores = [abs(v) for v in scores]
+    path = write_scores(tmp / "s.csv", [repr(v) for v in scores])
+    out = tmp / "o.csv"
+    code = run_to_an_end(["fdr", str(path), "--col", "z", "--input-kind", kind, "--n", str(n),
+                          "--M", str(m), "--L", str(series), "--null-method", null_method,
+                          "--weight-mode", weight_mode, "--sides", sides, "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_CONFIG)
+    if code != EXIT_OK:
+        assert not out.exists()
+        return
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(scores)
+    for field in ("z", "u_flat", "inverse_fdr"):
+        assert np.isfinite([float(r[field]) for r in rows]).all(), field
+    assert {r["selected"] for r in rows} <= {"0", "1"}
+
+
+@st.composite
+def extreme_panels(draw):
+    """(cells, labels) of a small panel: normal columns, some rounded to
+    ties, some scaled to any magnitude up to the largest double, and single
+    cells set to any finite double."""
+    n = draw(st.integers(6, 14))
+    p = draw(st.sampled_from([1, 3, cdfdr.MIN_FDR_ITEMS - 1, cdfdr.MIN_FDR_ITEMS, 24]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p))
+    top = np.finfo(float).max
+    for j, scale in draw(st.lists(st.tuples(st.integers(0, p - 1), st.sampled_from(
+            [0.0, 1e-300, 1e150, 1e300, top])), max_size=4)):
+        with np.errstate(over="ignore"):
+            X[:, j] = np.clip(X[:, j] * scale, -top, top)
+    for j in draw(st.lists(st.integers(0, p - 1), max_size=3)):
+        X[:, j] = np.round(X[:, j])
+    for i, j, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, p - 1),
+                                           any_double), max_size=6)):
+        X[i, j] = v
+    labels = draw(st.sampled_from([np.arange(n) % 2, (np.arange(n) < 3).astype(int)]))
+    return np.vectorize(repr, otypes=[object])(X).astype(str), labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(extreme_panels(), st.integers(1, 4), st.sampled_from([m.value for m in cli.NullMethod]))
+def test_rank_property_any_finite_magnitude(tmp_path_factory, panel, m, null_method):
+    """rank on finite cells up to the largest double ends in finite outputs,
+    with z and inverse_fdr empty only below the CDfdr minimum of variables,
+    or in a located error."""
+    tmp = tmp_path_factory.mktemp("rank")
+    cells, labels = panel
+    p = cells.shape[1]
+    path = tmp / "panel.csv"
+    write_cells(path, [f"v{j}" for j in range(p)], cells, labels)
+    out = tmp / "o"
+    code = run_to_an_end(["rank", str(path), "--label", "cls", "--M", str(m),
+                          "--null-method", null_method, "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code != EXIT_OK:
+        return
+    with open(out / "ranked.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == p
+    skipped = p < cdfdr.MIN_FDR_ITEMS
+    for field in rows[0]:
+        if field in ("variable_id", "category", "flag"):
+            continue
+        cells = [r[field] for r in rows]
+        if skipped and field in ("z", "inverse_fdr"):
+            assert set(cells) == {""}, field
+        else:
+            assert np.isfinite([float(c) for c in cells]).all(), field
+    json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
 
 
 @pytest.mark.parametrize("command", [["rank"], ["cd", "--vars", "v0"]])

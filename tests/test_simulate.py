@@ -246,3 +246,13 @@ def test_report_files_roundtrip(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["m_signals"] == 10
     assert set(payload["summary"]) == set(cfg.methods)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, 2**32 + 5, 2**64 - 1])
+def test_run_streams_are_default_rng_streams(seed):
+    from cdmine.simulate import _stream
+
+    for child in np.random.SeedSequence(seed).spawn(4):
+        ours, ref = _stream(child), np.random.default_rng(child)
+        assert ours.standard_normal(1000).tobytes() == ref.standard_normal(1000).tobytes()
+        assert ours.uniform(2.0, 4.0, 50).tobytes() == ref.uniform(2.0, 4.0, 50).tobytes()
