@@ -47,26 +47,14 @@ EXIT_PARSE = 2  # ParseError: an input cell or header, reported with its locatio
 EXIT_CONFIG = 3  # any other CdmineError, and a file that cannot be read or written
 
 
-def _one_of(choices):
-    """Config cast for a key limited to ``choices``, the ones its flag accepts."""
-
-    def cast(value):
-        if value not in choices:
-            raise ConfigError(f"{value!r} is not one of {', '.join(choices)}")
-        return value
-
-    return cast
-
-
-# simulate --config keys: each names the flag it overrides, with "_" for "-".
+# simulate --config keys, each the flag it overrides with "_" for "-": the
+# SimConfig field it sets and the cast of its value.
 CONFIG_KEYS = {
-    "p": int, "signals": int, "model": _one_of(SIGNAL_MODELS), "mu": float,
-    "lo": float, "hi": float, "runs": int, "seed": int,
-    "methods": lambda value: [_one_of(METHODS)(v) for v in value.split(",")],
-    "fdr_level": float,
+    "p": ("p", int), "signals": ("m_signals", int), "model": ("signal_model", str),
+    "mu": ("mu", float), "lo": ("lo", float), "hi": ("hi", float), "runs": ("runs", int),
+    "seed": ("seed", int), "methods": ("methods", lambda value: value.split(",")),
+    "fdr_level": ("fdr_level", float),
 }
-# The SimConfig field each config key sets, where the names differ.
-CONFIG_FIELDS = {"signals": "m_signals", "model": "signal_model"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,9 +239,8 @@ def cmd_fdr(args) -> int:
 
 def apply_config_file(args, path) -> dict:
     """Override ``args`` with the key=value lines of a config file; an
-    unknown key, a value that does not read as its type, one outside its
-    flag's choices, or a byte that is not UTF-8 is a ConfigError naming
-    path:line.
+    unknown key, a value that does not read as its type, or a byte that is
+    not UTF-8 is a ConfigError naming path:line.
 
     Returns the line number of each key the file set.
     """
@@ -276,34 +263,22 @@ def apply_config_file(args, path) -> dict:
             known = ", ".join(CONFIG_KEYS)
             raise ConfigError(f"{where}: unknown key {key!r} (known: {known})")
         try:
-            setattr(args, key, CONFIG_KEYS[key](value))
+            setattr(args, key, CONFIG_KEYS[key][1](value))
         except ValueError:
             raise ConfigError(f"{where}: {key}: cannot read {value!r}") from None
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {key}: {exc}") from None
         lines[key] = lineno
     return lines
 
 
 def cmd_simulate(args) -> int:
     lines = apply_config_file(args, args.config) if args.config else {}
-    cfg = SimConfig(
-        p=args.p,
-        m_signals=args.signals,
-        signal_model=args.model,
-        mu=args.mu,
-        lo=args.lo,
-        hi=args.hi,
-        runs=args.runs,
-        seed=args.seed,
-        methods=tuple(args.methods),
-        fdr_level=args.fdr_level,
-    )
+    settings = {field: getattr(args, key) for key, (field, _) in CONFIG_KEYS.items()}
+    cfg = SimConfig(**{**settings, "methods": tuple(settings["methods"])})
     try:
         cfg.validate()
     except ConfigError as exc:
         # Name the last config line that set a field the failed rule read.
-        set_at = [n for k, n in lines.items() if CONFIG_FIELDS.get(k, k) in exc.fields]
+        set_at = [n for k, n in lines.items() if CONFIG_KEYS[k][0] in exc.fields]
         if set_at:
             raise ConfigError(f"{args.config}:{max(set_at)}: {exc}") from None
         raise

@@ -218,11 +218,10 @@ def _parse_rows(path, label_column, missing):
     """(names, values (p, n), labels) of any file, read by ``csv_rows``; each
     fault is a located ParseError or a LabelError, in the order ``load_csv``
     gives.  The rows stay as read: labels come from the cell list by stride."""
-    rows = csv_rows(path)
-    header = next(rows, None)
+    records = csv_rows(path)
+    header = next(records, None)
     if header is None:
         raise ParseError("empty file", row=1)
-    rows = list(rows)
     seen = set()
     for name in header:
         if name in seen:
@@ -232,6 +231,13 @@ def _parse_rows(path, label_column, missing):
         raise LabelError(f"label column {label_column!r} not in header")
     label_idx = header.index(label_column)
     names = header[:label_idx] + header[label_idx + 1 :]
+    rows = []
+    try:
+        for record in records:
+            rows.append(record)
+    except ParseError:  # a record csv_rows cannot read loses to an earlier fault
+        _raise_first_fault(rows, header, label_idx, missing)
+        raise
 
     n, p, w = len(rows), len(names), len(header)
     if n == 0:
@@ -281,20 +287,27 @@ def _raise_first_fault(rows, header, label_idx, missing):
 
 
 def csv_rows(path):
-    """The records of the CSV file at ``path``, opened as UTF-8 and read by
-    ``csv.reader``.  A record it cannot read, such as one with a field
-    longer than ``csv.field_size_limit()``, is a ParseError at that
-    record's row; a byte that is not UTF-8 is one at the line that holds it
-    (``utf8_fault``)."""
+    """The records of the CSV file at ``path``, read as UTF-8 by ``csv.reader``
+    up to its first fault.  A record the reader cannot read, such as one with
+    a field over ``csv.field_size_limit()``, is a ParseError at its row; a
+    byte that is not UTF-8 is one at the line that holds it (``utf8_fault``)."""
     row = 0
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            for row, record in enumerate(csv.reader(fh), 1):
-                yield record
-    except csv.Error as exc:
-        raise ParseError(str(exc), row=row + 1) from None
-    except UnicodeDecodeError:
-        raise utf8_fault(path) from None
+    for text in (True, False):
+        # Text mode decodes 8 KB ahead of the reader.  After its fault, each line
+        # is decoded as the reader reaches it, past the ``row`` records given.
+        try:
+            with open(path, "rb") as fh:
+                lines = (io.TextIOWrapper(fh, encoding="utf-8", newline="") if text else
+                         (s.decode("utf-8") for line in fh for s in line.splitlines(True)))
+                records = itertools.islice(csv.reader(lines), row, None)
+                for row, record in enumerate(records, row + 1):
+                    yield record
+            return
+        except csv.Error as exc:
+            raise ParseError(str(exc), row=row + 1) from None
+        except UnicodeDecodeError:
+            pass
+    raise utf8_fault(path)
 
 
 def utf8_fault(path) -> ParseError:

@@ -15,7 +15,10 @@ mask.  Columns are processed in blocks of BLOCK_CELLS // n rows of it, so
 each (q, n) temporary of a block holds about BLOCK_CELLS values (1 MB)
 whatever n is.  At that size the heap reuses a block's temporaries for the
 next block, rather than returning them to the OS and faulting them in
-again.  A block's values and mask are slices of the matrix.
+again.  A block's values and mask are slices of the matrix.  The masked
+path's (k, q, n) scores, k = min(M, n - 2), are built for runs of at most
+DEFAULT_M * BLOCK_CELLS // (k * n) columns, so they never hold more than
+the whole block's at the default M.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .cr import label_correlations
 from .dataset import ColumnMatrix
 from .errors import NonFinite
 from .midrank import VariableColumn, mid_rank_transform, mid_ranks, tie_groups
-from .score_basis import check_m, feasible_score_basis, recurrence_scores
+from .score_basis import DEFAULT_M, check_m, feasible_score_basis, recurrence_scores
 
 # Cells (columns x rows) of one block; see the module docstring.
 BLOCK_CELLS = 2**17
@@ -118,9 +121,13 @@ def _block(cols, y, m, table, out, start):
 
     masked = np.flatnonzero(ok & ~shared)
     if masked.size:
-        comps[masked], m_used[masked] = _masked(
-            order[masked], first[masked], present[masked], nj[masked], n1[masked], y, m
-        )
+        # See the module docstring; M <= DEFAULT_M takes one run.
+        run = max(1, DEFAULT_M * BLOCK_CELLS // (min(m, n - 2) * n))
+        for a in range(0, masked.size, run):
+            part = masked[a : a + run]
+            comps[part], m_used[part] = _masked(
+                order[part], first[part], present[part], nj[part], n1[part], y, m
+            )
         reduced = masked[m_used[masked] < m]
         flags[reduced] = [f"reduced-m:{k}" for k in m_used[reduced]]
 

@@ -42,6 +42,8 @@ class SimConfig:
     fdr_level: float = FdrConfig.fdr_level  # of every arm: CDfdr, BH, naive two-step
 
     def validate(self):
+        """The one check of every setting: a ConfigError whose ``fields``
+        name the settings the failed rule read."""
         if self.p < 1:
             raise ConfigError("p must be >= 1", ("p",))
         if not 0 <= self.m_signals <= self.p:
@@ -51,7 +53,8 @@ class SimConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0", ("seed",))
         if self.signal_model not in SIGNAL_MODELS:
-            raise ConfigError(f"unknown signal model {self.signal_model!r}")
+            raise ConfigError(f"model: {self.signal_model!r} is not one of "
+                              f"{', '.join(SIGNAL_MODELS)}", ("signal_model",))
         if self.signal_model == "gaussian-shift" and not np.isfinite(self.mu):
             raise ConfigError(f"mu must be finite, got {self.mu}", ("mu",))
         band = np.isfinite([self.lo, self.hi]).all() and self.lo <= self.hi
@@ -59,9 +62,10 @@ class SimConfig:
             raise ConfigError(
                 f"lo = {self.lo} and hi = {self.hi} must be finite, with lo <= hi", ("lo", "hi")
             )
-        unknown = set(self.methods) - set(METHODS)
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ConfigError(f"unknown methods {sorted(unknown)}")
+            raise ConfigError(f"methods: {unknown[0]!r} is not one of "
+                              f"{', '.join(METHODS)}", ("methods",))
         if "cdfdr" in self.methods and self.p < MIN_FDR_ITEMS:
             raise ConfigError(
                 f"p must be >= {MIN_FDR_ITEMS} for the cdfdr method", ("p", "methods")

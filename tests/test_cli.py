@@ -600,6 +600,41 @@ def test_simulate_config_keys_reach_their_settings(tmp_path, monkeypatch):
     ]
 
 
+# A value other than the default for each simulate setting, as flag words.
+SIM_VALUES = {
+    "p": ["80"], "signals": ["5"], "model": ["uniform-band"], "mu": ["3.5"], "lo": ["1.5"],
+    "hi": ["2.5"], "runs": ["2"], "seed": ["9"], "methods": ["bh", "cdfdr"],
+    "fdr_level": ["0.05"],
+}
+
+
+@pytest.mark.parametrize("key", list(cli.CONFIG_KEYS))
+def test_simulate_flag_and_config_line_set_the_same_field(tmp_path, monkeypatch, key):
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise Stop
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    values = SIM_VALUES[key]
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"{key}={','.join(values)}\n")
+    for argv in (["--" + key.replace("_", "-"), *values], ["--config", str(cfg)]):
+        with pytest.raises(Stop):
+            main(["simulate", *argv, "--out", str(tmp_path / "s")])
+    by_flag, by_line = seen
+    assert by_flag == by_line
+    # The value reached its field: it is not the field's default.
+    field = cli.CONFIG_KEYS[key][0]
+    default = SimConfig(m_signals=cli.build_parser().parse_args(["simulate"]).signals)
+    assert getattr(by_flag, field) != getattr(default, field)
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -625,6 +660,24 @@ def test_simulate_config_rejects_what_it_cannot_apply(tmp_path, capsys, text, me
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("model=foo\nruns=abc\n", "sim.cfg:2: runs: cannot read 'abc'"),
+        ("methods=xyz\nruns=0\n", "sim.cfg:2: runs must be >= 1"),
+        ("runs=0\nmodel=foo\n", "sim.cfg:1: runs must be >= 1"),
+    ],
+)
+def test_simulate_config_bad_name_is_checked_after_every_line(tmp_path, capsys, text, message):
+    """SimConfig checks a model or method name with its other value rules,
+    after every line is read and cast."""
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {cfg.parent / message}\n"
 
 
 @pytest.mark.parametrize(
@@ -834,8 +887,10 @@ def test_every_flag_defaults_to_its_setting():
     # Every simulate setting but the signal count, which SimConfig leaves
     # to its caller, is a config-file key as well.
     sim_cfg = SimConfig(m_signals=sim.signals)
-    for key in set(cli.CONFIG_KEYS) - {"signals"}:
-        want = getattr(sim_cfg, cli.CONFIG_FIELDS.get(key, key))
+    for key, (field, _) in cli.CONFIG_KEYS.items():
+        if key == "signals":
+            continue
+        want = getattr(sim_cfg, field)
         got = getattr(sim, key)
         assert (tuple(got) if key == "methods" else got) == want, key
 
@@ -916,6 +971,18 @@ def test_fdr_ragged_row_is_located(tmp_path, capsys, row, fields):
     out = tmp_path / "o.csv"
     assert main(["fdr", str(path), "--col", "z", "--out", str(out)]) == EXIT_PARSE
     assert f"row 6: row has {fields} fields, expected 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fdr_ragged_row_beats_a_later_byte_that_is_not_utf8(tmp_path, capsys):
+    values = [f"{v:.3f}" for v in np.linspace(-2, 2, 30)]
+    lines = write_scores(tmp_path / "z.csv", values).read_text().splitlines()
+    lines[5], lines[9] = "a1", "caf\xe9,0.5"
+    path = tmp_path / "z.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+    out = tmp_path / "o.csv"
+    assert main(["fdr", str(path), "--col", "z", "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == "parse error: row 6: row has 1 fields, expected 2\n"
     assert not out.exists()
 
 

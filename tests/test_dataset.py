@@ -257,6 +257,35 @@ def test_csv_rows_locates_a_byte_that_is_not_utf8_by_physical_line(tmp_path):
         list(dataset.csv_rows(path))
 
 
+def test_csv_rows_yields_every_record_before_a_bad_byte(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b'a,b\r"1\r\n2",3\ncaf\xe9,4\n5,6\n')
+    rows = dataset.csv_rows(path)
+    assert [next(rows), next(rows)] == [["a", "b"], ["1\r\n2", "3"]]
+    with pytest.raises(ParseError, match=r"^row 4: byte 0xe9 is not valid UTF-8$"):
+        next(rows)
+
+
+def test_csv_rows_yields_each_record_once_when_the_bad_byte_is_chunks_in(tmp_path):
+    # Far past text mode's first decoded chunk, so some records come from
+    # the text read and the rest from the line-by-line one.
+    path = tmp_path / "latin1.csv"
+    good = [f"{i},{i * 7}" for i in range(3000)]
+    path.write_bytes(("\n".join(good) + "\ncaf\xe9,4\n5,6\n").encode("latin-1"))
+    rows = dataset.csv_rows(path)
+    assert [next(rows) for _ in good] == [line.split(",") for line in good]
+    with pytest.raises(ParseError, match=r"^row 3001: byte 0xe9 is not valid UTF-8$"):
+        next(rows)
+
+
+def test_csv_rows_field_over_the_limit_beats_a_later_bad_byte(tmp_path):
+    path = tmp_path / "latin1.csv"
+    big = "1" * (csv.field_size_limit() + 1)
+    path.write_bytes(f"a,b\n1,2\n{big},3\ncaf\xe9,4\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=r"^row 3: field larger than field limit"):
+        list(dataset.csv_rows(path))
+
+
 def test_columns_are_row_views_of_one_matrix(tmp_path):
     path = write(tmp_path, "a,cls,b\n1,0,NA\n2,1,3\n4,0,5\n")
     ds = load_csv(path, label_column="cls")
@@ -526,6 +555,32 @@ def test_field_over_the_csv_limit_is_a_located_parse_error(tmp_path, where):
         load_csv(write(tmp_path, "\n".join(lines) + "\n"), label_column="cls")
     assert err.value.row == {"header": 1, "cell": 3, "label": 2}[where]
     assert "field larger than field limit" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "header, row2, row4, message",
+    [
+        ("a,a,cls", "1,2,0", "big", "row 1, column 'a': duplicate column name 'a'"),
+        ("a,b,cls", "1,2", "big", "row 2: row has 2 fields, expected 3"),
+        ("a,b,cls", "1,x,0", "big", "row 2, column 'b': cannot parse 'x' as a number"),
+        ("a,b,cls", "1,x,0", "latin-1", "row 2, column 'b': cannot parse 'x' as a number"),
+    ],
+    ids=["duplicate-name", "ragged-row", "non-numeric-cell", "non-numeric-before-non-utf8"],
+)
+def test_an_earlier_fault_beats_a_record_csv_reader_cannot_read(
+    tmp_path, header, row2, row4, message
+):
+    """A later field over ``csv.field_size_limit()``, or a later byte that
+    is not UTF-8, loses to a fault in the header or an earlier row."""
+    if row4 == "big":
+        row4 = ("1" * (csv.field_size_limit() + 1) + ",2,1").encode()
+    else:
+        row4 = "caf\xe9,2,1".encode("latin-1")
+    path = tmp_path / "data.csv"
+    path.write_bytes(f"{header}\n{row2}\n3,4,1\n".encode() + row4 + b"\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(path, label_column="cls")
+    assert str(err.value) == message
 
 
 @pytest.fixture

@@ -317,6 +317,36 @@ def test_masked_scores_stop_at_the_largest_column_s_n_minus_2():
     assert high_peak <= 1.2 * low_peak
 
 
+def test_masked_memory_at_the_largest_m_stays_near_the_default_m():
+    """The masked path builds its (k, q, n) scores for runs of columns that
+    hold no more than a block's at the default M, so its peak at M = n - 2
+    stays within a small multiple of its peak at M = 4.  Runs change only
+    the batching of each column's sums."""
+    rng = np.random.default_rng(12)
+    n = 40
+    p = panel.BLOCK_CELLS // n  # one block
+    values = np.round(rng.normal(size=(p, n)), 1)  # tied: the masked path
+    cols = ColumnMatrix(values, np.zeros((p, n), dtype=bool), [f"v{j}" for j in range(p)])
+    y = np.arange(n) % 2
+
+    def run(m):
+        tracemalloc.start()
+        try:
+            out = panel.panel_cr(cols, y, m)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, default_peak = run(4)
+    high, high_peak = run(n - 2)
+    assert high_peak <= 3 * default_peak
+    with mock.patch.object(panel, "DEFAULT_M", n * p):  # one run per block
+        whole = panel.panel_cr(cols, y, n - 2)
+    np.testing.assert_array_equal(high.m_used, whole.m_used)
+    assert high.flags == whole.flags
+    np.testing.assert_allclose(high.components, whole.components, rtol=0, atol=TOL)
+
+
 @pytest.mark.parametrize(
     "n, p, decimals, multiple",
     [
