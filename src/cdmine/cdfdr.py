@@ -158,9 +158,12 @@ def norm_logpdf(x):
 
 
 def preflatten(z, null: EmpiricalNull) -> np.ndarray:
-    """Flatten scores through the estimated null cdf, clamped into (0, 1)."""
+    """Flatten scores through the estimated null cdf, clamped into (0, 1);
+    a standardized score that overflows under a tiny null scale flattens to
+    the clamp."""
     z = np.asarray(z, dtype=float)
-    u = norm_cdf((z - _col(null.mu0)) / _col(null.sigma0))
+    with np.errstate(over="ignore"):
+        u = norm_cdf((z - _col(null.mu0)) / _col(null.sigma0))
     return np.clip(u, U_EPS, 1.0 - U_EPS)
 
 
@@ -217,16 +220,17 @@ def _inverse_fdr(z, null: EmpiricalNull, d, weight_mode: str):
 
     Where the theoretical weight overflows (z^2/2 - zs^2/2 past about 709),
     the inverse fdr is capped at INVERSE_FDR_MAX, which every threshold
-    1/level selects.
+    1/level selects; where the standardized score zs or its square
+    overflows under a tiny null scale, the weight is 0.
     """
     if weight_mode == "empirical":
         return d
     if weight_mode != "theoretical":
         raise ConfigError(f"unknown weight mode {weight_mode!r}")
     sigma0 = _col(null.sigma0)
-    zs = (z - _col(null.mu0)) / sigma0
-    log_w = norm_logpdf(zs) - np.log(sigma0) - norm_logpdf(z)
     with np.errstate(over="ignore"):
+        zs = (z - _col(null.mu0)) / sigma0
+        log_w = norm_logpdf(zs) - np.log(sigma0) - norm_logpdf(z)
         return np.minimum(np.exp(log_w) * d, INVERSE_FDR_MAX)
 
 

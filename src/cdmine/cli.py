@@ -172,7 +172,7 @@ def cmd_cd(args) -> int:
         if not panel.m_used[k]:
             print(f"{name}: skipped ({panel.flags[k]})")
             continue
-        written = write_curves(dataset, position[name], int(panel.m_used[k]), args.out, stems)
+        written = write_curves(dataset, position[name], panel, k, args.out, stems)
         print(f"{name}: wrote {', '.join(os.path.basename(p) for p in written)}")
     return EXIT_OK
 
@@ -240,12 +240,13 @@ def cmd_fdr(args) -> int:
 def apply_config_file(args, path) -> dict:
     """Override ``args`` with the key=value lines of a config file; an
     unknown key, a value that does not read as its type, or a byte that is
-    not UTF-8 is a ConfigError naming path:line.
+    not UTF-8 is a ConfigError naming path:line.  A leading byte order mark
+    is dropped.
 
     Returns the line number of each key the file set.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.readlines()
     except UnicodeDecodeError:
         fault = utf8_fault(path)

@@ -3,6 +3,7 @@ binary label."""
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
@@ -288,17 +289,19 @@ def _raise_first_fault(rows, header, label_idx, missing):
 
 def csv_rows(path):
     """The records of the CSV file at ``path``, read as UTF-8 by ``csv.reader``
-    up to its first fault.  A record the reader cannot read, such as one with
-    a field over ``csv.field_size_limit()``, is a ParseError at its row; a
-    byte that is not UTF-8 is one at the line that holds it (``utf8_fault``)."""
+    up to its first fault; a leading byte order mark is dropped.  A record
+    the reader cannot read, such as one with a field over
+    ``csv.field_size_limit()``, is a ParseError at its row; a byte that is
+    not UTF-8 is one at the line that holds it (``utf8_fault``)."""
     row = 0
     for text in (True, False):
         # Text mode decodes 8 KB ahead of the reader.  After its fault, each line
         # is decoded as the reader reaches it, past the ``row`` records given.
         try:
             with open(path, "rb") as fh:
-                lines = (io.TextIOWrapper(fh, encoding="utf-8", newline="") if text else
-                         (s.decode("utf-8") for line in fh for s in line.splitlines(True)))
+                lines = (io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") if text else
+                         codecs.iterdecode((s for line in fh for s in line.splitlines(True)),
+                                           "utf-8-sig"))
                 records = itertools.islice(csv.reader(lines), row, None)
                 for row, record in enumerate(records, row + 1):
                     yield record

@@ -31,7 +31,7 @@ from .cr import label_correlations
 from .dataset import ColumnMatrix
 from .errors import NonFinite
 from .midrank import VariableColumn, mid_rank_transform, mid_ranks, tie_groups
-from .score_basis import DEFAULT_M, check_m, feasible_score_basis, recurrence_scores
+from .score_basis import DEFAULT_M, ScoreBasis, check_m, feasible_score_basis, recurrence_scores
 
 # Cells (columns x rows) of one block; see the module docstring.
 BLOCK_CELLS = 2**17
@@ -45,17 +45,21 @@ class PanelCr:
     n_effective: np.ndarray  # (p,) non-missing count
     m_used: np.ndarray  # (p,) scores behind each CR, 0 for a flagged column
     flags: list  # "" or the flag of each column
+    # Each column's basis (see ScoreBasis), zero past m_used and when flagged:
+    sigma_mid: np.ndarray  # (p,)
+    a: np.ndarray  # (p, m - 1) recurrence coefficients a_k
+    b: np.ndarray  # (p, m) recurrence coefficients b_k
 
 
-def grid_scores(n: int, m: int):
-    """The n x m score table of the mid-rank grid (i - 1/2)/n, which every
+def grid_scores(n: int, m: int) -> ScoreBasis | None:
+    """The m-score basis of the mid-rank grid (i - 1/2)/n, which every
     complete, tie-free column of length n shares; None when the grid has
     fewer than m scores."""
     if n < m + 2:
         return None
     grid = mid_rank_transform(VariableColumn.from_values(np.arange(float(n))))
     basis = feasible_score_basis(grid, m)
-    return basis.score_matrix if basis is not None and basis.m == m else None
+    return basis if basis is not None and basis.m == m else None
 
 
 def panel_cr(variables: ColumnMatrix, labels, m: int) -> PanelCr:
@@ -72,21 +76,22 @@ def panel_cr(variables: ColumnMatrix, labels, m: int) -> PanelCr:
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be coded 0/1")
     y = y.astype(float)
-    table = grid_scores(y.size, m)
+    grid = grid_scores(y.size, m)
     p = len(variables)
     out = PanelCr(
         components=np.zeros((p, m)),
         n_effective=np.zeros(p, dtype=int),
         m_used=np.zeros(p, dtype=int),
         flags=[""] * p,
+        sigma_mid=np.zeros(p), a=np.zeros((p, m - 1)), b=np.zeros((p, m)),
     )
     step = max(1, BLOCK_CELLS // y.size)
     for start in range(0, p, step):
-        _block(variables[start : start + step], y, m, table, out, start)
+        _block(variables[start : start + step], y, m, grid, out, start)
     return out
 
 
-def _block(cols, y, m, table, out, start):
+def _block(cols, y, m, grid, out, start):
     n = y.size
     present = ~cols.missing
     x = np.where(present, cols.values, np.nan)
@@ -106,26 +111,29 @@ def _block(cols, y, m, table, out, start):
     flags[distinct == 1] = "constant"
     flags[nj < 2] = "all-missing"
     ok = flags == ""
-    shared = ok & (nj == n) & (distinct == n) & (table is not None)
-    comps = out.components[start : start + len(cols)]
-    m_used = out.m_used[start : start + len(cols)]
+    shared = ok & (nj == n) & (distinct == n) & (grid is not None)
+    views = (out.components, out.m_used, out.sigma_mid, out.a, out.b)
+    comps, m_used, sigma, a, b = (v[start : start + len(cols)] for v in views)
 
     if shared.any():
         # Complete and tie-free: the score of the entry of rank r is T[r - 1].
+        # One matmul a column, so that no other column moves its bits.
+        table = grid.score_matrix
         mean_t = table.mean(axis=0)
         sd_t = np.sqrt(np.maximum((table**2).mean(axis=0) - mean_t**2, 0.0))
         pi = n1[shared, None] / n
-        cov = y[order[shared]] @ table / n - pi * mean_t
+        cov = (y[order[shared]][:, None, :] @ table)[:, 0] / n - pi * mean_t
         comps[shared] = cov / (np.sqrt(pi * (1.0 - pi)) * sd_t)
         m_used[shared] = m
+        sigma[shared], a[shared], b[shared] = grid.sigma_mid, grid.a, grid.b
 
     masked = np.flatnonzero(ok & ~shared)
     if masked.size:
         # See the module docstring; M <= DEFAULT_M takes one run.
         run = max(1, DEFAULT_M * BLOCK_CELLS // (min(m, n - 2) * n))
-        for a in range(0, masked.size, run):
-            part = masked[a : a + run]
-            comps[part], m_used[part] = _masked(
+        for lo in range(0, masked.size, run):
+            part = masked[lo : lo + run]
+            comps[part], m_used[part], sigma[part], a[part], b[part] = _masked(
                 order[part], first[part], present[part], nj[part], n1[part], y, m
             )
         reduced = masked[m_used[masked] < m]
@@ -136,21 +144,23 @@ def _block(cols, y, m, table, out, start):
 
 
 def _masked(order, first, present, nj, n1, y, m):
-    """Components (q, m) and m_used (q,) of q non-degenerate columns with
-    ties or missing entries.  ``first`` marks, in each column's sort order,
-    the entries that start a new distinct value."""
-    # No column has more than n_j - 2 scores; components past them stay 0.
+    """Components (q, m), m_used, sigma_mid, a and b, as in PanelCr, of q
+    non-degenerate columns with ties or missing entries.  ``first`` marks, in
+    each column's sort order, the entries that start a new distinct value."""
+    # No column has more than n_j - 2 scores; what lies past them is zeroed.
     k = min(m, int(nj.max()) - 2)
-    scores, m_used = _masked_scores(order, first, present, nj, k)
-    r = np.where(np.arange(k)[:, None] < m_used, label_correlations(scores, y, nj, n1), 0.0)
-    return np.pad(r.T, ((0, 0), (0, m - k))), m_used
+    scores, m_used, sigma, a, b = _masked_scores(order, first, present, nj, k)
+    r, keep = label_correlations(scores, y, nj, n1), np.arange(m) < m_used[:, None]
+    comps, a, b = (np.where(kept, np.pad(v, ((0, 0), (0, m - k))), 0.0)
+                   for v, kept in ((r.T, keep), (a, keep[:, 1:]), (b, keep)))
+    return comps, m_used, sigma, a, b
 
 
 def _masked_scores(order, first, present, nj, m):
-    """Scores (m, q, n), zero at missing entries, and m_used (q,): the first
-    m_used scores of each column are orthonormal under weights 1/n_j."""
+    """Scores (m, q, n), zero at missing entries, m_used, sigma_mid, a and b of
+    q columns; the first m_used scores of each are orthonormal under weights 1/n_j."""
     u, sigma = mid_ranks(order, first, nj)
     w = present.astype(float)
     s1 = (u - 0.5) / sigma[:, None] * w
-    scores, m_used, _, _ = recurrence_scores(s1, w, nj, m)
-    return scores, m_used
+    scores, m_used, a, b = recurrence_scores(s1, w, nj, m)
+    return scores, m_used, sigma, a, b

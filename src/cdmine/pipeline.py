@@ -21,13 +21,13 @@ from .cdfdr import (
     chi2_logsf,
     log_p_to_z,
 )
-from .comp_density import TwoSampleData, estimate_cd, pp_plot_points, theta_hat
-from .cr import CrResult, categorize_rows, null_pvalue, rank_variables
+from .comp_density import TwoSampleData, estimate_cd, pp_plot_points
+from .cr import CrResult, categorize_rows, rank_variables
 from .dataset import Dataset
 from .errors import ConfigError, TooFewItems
 from .midrank import mid_rank_transform
 from .panel import PanelCr, panel_cr
-from .score_basis import DEFAULT_M, check_m, feasible_score_basis
+from .score_basis import DEFAULT_M, ScoreBasis, check_m
 
 CURVE_GRID_SIZE = 512
 # Variables whose curves a report exports, the first selected in rank order.
@@ -55,7 +55,7 @@ class AnalysisReport:
     ``variable`` build ``VariableAnalysis`` objects only when asked.
     """
 
-    panel: PanelCr  # components, n_effective, m_used and flags
+    panel: PanelCr  # the engine's rows: components, counts, flags and bases
     cr: np.ndarray
     pvalue: np.ndarray
     log_pvalue: np.ndarray  # chi-square log tail, 0 when flagged; z comes from it
@@ -113,11 +113,9 @@ def analyze(
         raise TooFewItems("no variables to analyze")
     panel = panel_cr(dataset.variables, dataset.labels, m)
     cr = (panel.components**2).sum(axis=1)
-    ok = panel.m_used > 0
-    pvalue = np.ones(cr.size)
-    pvalue[ok] = null_pvalue(cr[ok], panel.n_effective[ok], panel.m_used[ok])
-    log_pvalue = np.zeros(cr.size)
-    log_pvalue[ok] = chi2_logsf(panel.n_effective[ok] * cr[ok], panel.m_used[ok])
+    # A flagged column has CR 0, whose tail is exactly 1 at any df.
+    log_pvalue = chi2_logsf(panel.n_effective * cr, np.maximum(panel.m_used, 1))
+    pvalue = np.exp(log_pvalue)
 
     fdr = None
     if cr.size >= MIN_FDR_ITEMS:
@@ -262,16 +260,17 @@ def export_plots(
 
     stems = set()
     for i in report.selected_positions()[:top_k]:
-        m_used = int(report.panel.m_used[i])
-        if m_used:
-            written += write_curves(report.dataset, i, m_used, out_dir, stems, svg=svg)
+        if report.panel.m_used[i]:
+            written += write_curves(report.dataset, i, report.panel, i, out_dir, stems, svg=svg)
     return written
 
 
-def write_curves(dataset: Dataset, i, m_used, out_dir, stems: set, svg: bool = False):
+def write_curves(dataset, i, panel: PanelCr, row, out_dir, stems: set, svg: bool = False):
     """Write the density and PP curves of the variable at input position i,
-    under its sanitised name inside ``out_dir``.  The density has the
-    m_used >= 1 scores the panel engine gave the variable's CR.
+    under its sanitised name inside ``out_dir``.  The density is drawn from
+    row ``row`` (m_used >= 1) of the engine's ``panel``: its basis, and
+    theta_k = R_k sqrt((1 - pi)/pi), the class-1 mean of S_k.  The column's
+    mid-ranks serve only the PP points.
 
     ``stems`` holds the file stems already written in this export; a name
     whose stem is taken gets the first free suffix ``_2``, ``_3``, ...  The
@@ -283,11 +282,12 @@ def write_curves(dataset: Dataset, i, m_used, out_dir, stems: set, svg: bool = F
     while stem in stems:
         stem, k = f"{safe}_{k}", k + 1
     stems.add(stem)
-    mid = mid_rank_transform(col)
-    basis = feasible_score_basis(mid, m_used)
-    data = TwoSampleData.from_arrays(mid.u, dataset.labels[~col.missing])
+    m = int(panel.m_used[row])
+    basis = ScoreBasis(m, None, panel.sigma_mid[row], panel.a[row, : m - 1], panel.b[row, :m])
+    data = TwoSampleData.from_arrays(mid_rank_transform(col).u, dataset.labels[~col.missing])
+    theta = panel.components[row, :m] * np.sqrt((1.0 - data.pi_hat) / data.pi_hat)
     u = (np.arange(CURVE_GRID_SIZE) + 0.5) / CURVE_GRID_SIZE
-    dhat = estimate_cd(theta_hat(data, basis), basis)(u)
+    dhat = estimate_cd(theta, basis)(u)
     h, f = pp_plot_points(data).T
     # (file prefix, CSV header, SVG axis labels, x, y) of each curve
     curves = (("cd", ["u", "dhat"], ("u", "dhat"), u, dhat),

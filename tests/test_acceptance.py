@@ -192,7 +192,7 @@ def test_criterion_2_engine_masked_scores_orthonormal():
         first = np.ones(x.shape, dtype=bool)
         first[:, 1:] = xs[:, 1:] != xs[:, :-1]
         nj = present.sum(axis=1)
-        scores, m_used = panel._masked_scores(order, first, present, nj, m)
+        scores, m_used, *_ = panel._masked_scores(order, first, present, nj, m)
         for q in range(len(cols)):
             s = scores[: m_used[q], q]
             gram = s @ s.T / nj[q]
@@ -239,7 +239,7 @@ def test_engine_identities_at_m_7_and_8():
             first = np.ones(x.shape, dtype=bool)
             first[:, 1:] = xs[:, 1:] != xs[:, :-1]
             nj = present.sum(axis=1)
-            scores, m_used = panel._masked_scores(order, first, present, nj, m)
+            scores, m_used, *_ = panel._masked_scores(order, first, present, nj, m)
             for q in range(len(cols)):
                 s = scores[: m_used[q], q]
                 worst["masked"] = max(
@@ -248,7 +248,7 @@ def test_engine_identities_at_m_7_and_8():
                     np.abs(s.sum(axis=1) / nj[q]).max(),
                 )
     n = 20_000
-    table = panel.grid_scores(n, 8)
+    table = panel.grid_scores(n, 8).score_matrix
     worst["grid"] = max(np.abs(table.T @ table / n - np.eye(8)).max(),
                         np.abs(table.mean(axis=0)).max())
     X = np.round(rng.normal(size=(150, 30)), 1)

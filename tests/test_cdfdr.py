@@ -196,6 +196,18 @@ class TestInverseFdr:
         assert result.inverse_fdr[-1] == np.finfo(float).max
         assert result.selected[-1]
 
+    @pytest.mark.parametrize("tiny", [3.292478195469615e-265, 1e-320])
+    def test_a_tiny_null_scale_gives_a_zero_weight_silently(self, tiny):
+        # The median-MAD scale is about tiny, so (1 - mu0) / sigma0 squared,
+        # or the quotient itself, overflows.
+        z = np.array([0.0] * 10 + [1.0] * 9 + [tiny])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = cdfdr_pipeline(z, FdrConfig(null_method=NullMethod.ROBUST_MEDIAN_MAD))
+        assert np.all(np.isfinite(result.inverse_fdr))
+        assert np.all(result.inverse_fdr[z == 1.0] == 0.0)
+        assert np.all(result.u_flat[z == 1.0] == 1.0 - U_EPS)
+
 
 class TestSelect:
     def test_all_ones_empty(self):

@@ -1017,3 +1017,56 @@ def test_simulate_with_no_items_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "p must be >= 1" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# A UTF-8 byte order mark, as Excel's "CSV UTF-8" writes at the start of a file.
+BOM = "\ufeff"
+
+
+def same_tree(a, b):
+    """Whether two output directories hold the same files, byte for byte."""
+    names = sorted(os.listdir(a))
+    return names == sorted(os.listdir(b)) and all(
+        (a / f).read_bytes() == (b / f).read_bytes() for f in names
+    )
+
+
+@pytest.mark.parametrize("label_first", [True, False])
+def test_rank_reads_a_file_with_a_byte_order_mark_as_the_file_without(
+    tmp_path, toy_csv, label_first
+):
+    """The mark is not part of the first header name, whether that is the
+    label column or the first variable."""
+    lines = toy_csv.read_text().splitlines()
+    if label_first:
+        lines = [",".join(line.split(",")[-1:] + line.split(",")[:-1]) for line in lines]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("\n".join(lines) + "\n")
+    marked.write_text(BOM + "\n".join(lines) + "\n")
+    for path in (plain, marked):
+        argv = ["rank", str(path), "--label", "cls", "--svg", "--out", str(tmp_path / path.stem)]
+        assert main(argv) == EXIT_OK
+    with open(tmp_path / "marked" / "ranked.csv", encoding="utf-8") as fh:
+        names = [row["variable_id"] for row in csv.DictReader(fh)]
+    assert sorted(names) == sorted(f"v{j}" for j in range(25))
+    assert same_tree(tmp_path / "plain", tmp_path / "marked")
+
+
+def test_fdr_finds_a_first_column_behind_a_byte_order_mark(tmp_path):
+    values = [f"{v:.3f}" for v in np.linspace(-2, 3, 30)]
+    text = "z,id\n" + "".join(f"{v},g{i}\n" for i, v in enumerate(values))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text)
+    marked.write_text(BOM + text)
+    for path in (plain, marked):
+        argv = ["fdr", str(path), "--col", "z", "--out", str(tmp_path / f"{path.stem}-o.csv")]
+        assert main(argv) == EXIT_OK
+    assert (tmp_path / "plain-o.csv").read_bytes() == (tmp_path / "marked-o.csv").read_bytes()
+
+
+def test_simulate_config_with_a_byte_order_mark_sets_its_first_key(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(BOM + "p=150\nsignals=5\nruns=2\nmethods=bh\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["p"] == 150

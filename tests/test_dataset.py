@@ -668,3 +668,23 @@ def test_load_peak_memory_stays_near_the_value_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * ds.variables.values.nbytes
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
+    text = "a,cls,b\n1,0,NA\n2,1,3\n4,0,5\n5,1,6\n"
+    plain = load_csv(write(tmp_path, text, "plain.csv"), "cls")
+    marked = load_csv(write(tmp_path, "\ufeff" + text, "marked.csv"), "cls")
+    assert marked.names == plain.names == ["a", "b"]
+    np.testing.assert_array_equal(marked.variables.values, plain.variables.values)
+    np.testing.assert_array_equal(marked.labels, plain.labels)
+
+
+def test_csv_rows_drops_a_byte_order_mark_when_it_reads_line_by_line(tmp_path):
+    # The bad byte fails the text read at once, so every record comes from
+    # the line-by-line read.
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\ncaf\xe9,4\n")
+    rows = dataset.csv_rows(path)
+    assert [next(rows), next(rows)] == [["a", "b"], ["1", "2"]]
+    with pytest.raises(ParseError, match=r"^row 3: byte 0xe9 is not valid UTF-8$"):
+        next(rows)

@@ -8,6 +8,7 @@ Vandermonde matrix of the centred mid-ranks, whose Q columns span the same
 nested polynomial subspaces as the engine's recurrence; the sign of each
 diagonal entry of R fixes the sign of each score."""
 
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, rankdata
 
-from cdmine import panel
-from cdmine.comp_density import TwoSampleData, theta_hat
+from cdmine import panel, pipeline
+from cdmine.comp_density import TwoSampleData, estimate_cd, theta_hat
 from cdmine.dataset import ColumnMatrix, Dataset, load_csv
 from cdmine.errors import ConfigError, NonFinite
 from cdmine.midrank import VariableColumn, mid_rank_transform
@@ -163,9 +164,10 @@ def test_engine_matches_reference_path(case, block):
 @settings(max_examples=150, deadline=None)
 @given(panels())
 def test_curve_coefficients_are_the_engine_components(case):
-    """A curve rebuilds its column's basis with the engine's m_used scores;
-    its theta-hat is then R_k sqrt((1 - pi)/pi), so the curve and the CR
-    row describe one fit."""
+    """The single-column reference path, a basis of the engine's m_used
+    scores and its theta-hat, gives R_k sqrt((1 - pi)/pi): the identity a
+    curve's theta is drawn from, so the curve and the CR row describe one
+    fit."""
     ds, m = case
     out = panel.panel_cr(ds.variables, ds.labels, m)
     for i in np.flatnonzero(out.m_used):
@@ -193,6 +195,57 @@ def test_a_subset_of_columns_gets_the_full_panel_s_flags_and_score_counts(case, 
     assert sub.flags == [full.flags[i] for i in idx]
     np.testing.assert_array_equal(sub.m_used, full.m_used[idx])
     assert np.abs(sub.components - full.components[idx]).max() <= TOL
+
+
+@pytest.mark.parametrize("n", [61, 90])
+@pytest.mark.parametrize("m", [4, 8])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_column_s_row_depends_on_that_column_alone(n, m, seed):
+    """On any subset of a panel's columns, in any order, each column's row
+    equals the full panel's bit for bit: its components, counts, flag and
+    basis depend on that column and the labels alone, in the shared path
+    (complete and tie-free) and the masked one (tied or missing)."""
+    rng = np.random.default_rng(seed)
+    p = 60
+    y = rng.permutation(np.arange(n) % 2)
+    X = rng.normal(size=(p, n)) + 0.5 * y
+    X[p // 2 :] = np.round(X[p // 2 :], 1)
+    X[3 * p // 4 :, :: int(rng.integers(3, 9))] = np.nan
+    cols = ColumnMatrix(X, np.isnan(X), [f"v{j}" for j in range(p)])
+    full = panel.panel_cr(cols, y, m)
+    assert (full.m_used[: p // 2] == m).all() and (full.m_used > 0).all()
+    idx = rng.permutation(p)[: rng.integers(1, p + 1)].tolist()
+    sub = panel.panel_cr(cols[idx], y, m)
+    for field in ("components", "m_used", "n_effective", "sigma_mid", "a", "b"):
+        np.testing.assert_array_equal(getattr(sub, field), getattr(full, field)[idx], field)
+    assert sub.flags == [full.flags[i] for i in idx]
+
+
+@settings(max_examples=60, deadline=None)
+@given(panels())
+def test_a_curve_is_drawn_from_its_engine_row(case):
+    """``write_curves`` builds no basis of its own: its d-hat has the
+    engine's sigma_mid, a and b for the column, and theta_k is exactly
+    R_k sqrt((1 - pi)/pi), the class-1 mean of S_k."""
+    ds, m = case
+    out = panel.panel_cr(ds.variables, ds.labels, m)
+    for i in np.flatnonzero(out.m_used):
+        k = int(out.m_used[i])
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            pipeline, "estimate_cd", wraps=pipeline.estimate_cd
+        ) as draw:
+            curve = pipeline.write_curves(ds, i, out, i, tmp, set())[0]
+            dhat = np.loadtxt(curve, delimiter=",", skiprows=1)
+        theta, basis = draw.call_args.args
+        col = ds.variables[i]
+        pi = ds.labels[~col.missing].mean()
+        np.testing.assert_array_equal(theta, out.components[i, :k] * np.sqrt((1.0 - pi) / pi))
+        assert basis.m == k and basis.sigma_mid == out.sigma_mid[i]
+        np.testing.assert_array_equal(basis.a, out.a[i, : k - 1])
+        np.testing.assert_array_equal(basis.b, out.b[i, :k])
+        assert basis.score_matrix is None
+        np.testing.assert_array_equal(dhat[:, 1], estimate_cd(theta, basis)(dhat[:, 0]))
 
 
 @settings(max_examples=40, deadline=None)
