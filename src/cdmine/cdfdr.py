@@ -131,11 +131,29 @@ def estimate_null(z, method: NullMethod = FdrConfig.null_method) -> EmpiricalNul
         sigma0 = 1.4826 * np.median(np.abs(z - _col(mu0)), axis=-1)
     else:
         raise ConfigError(f"unknown null method {method!r}")
-    if np.any(sigma0 <= 0.0):
-        raise ZeroSpread("null scale estimate is zero")
+    if method != NullMethod.FIXED_THEORETICAL:
+        _check_spread(z, sigma0)
     if z.ndim == 1:
         mu0, sigma0 = float(mu0), float(sigma0)
     return EmpiricalNull(mu0, sigma0, method)
+
+
+def _check_spread(z, sigma0):
+    """Raise ZeroSpread where an estimated null scale is at or below eps
+    times the interquartile range of its scores.  Such a scale is zero at
+    the scores' resolution: it standardizes every score off the null centre
+    past any bound, and the theoretical weight then selects the items on
+    that centre."""
+    eps = np.finfo(float).eps
+    sigma0 = np.asarray(sigma0)
+    # The interquartile range is at most the range, so only a scale within
+    # eps of its range, a zero one among them, needs the quartiles.
+    suspect = sigma0 <= eps * np.ptp(z, axis=-1)
+    if np.any(suspect):
+        q25, q75 = np.percentile(z[suspect], [25, 75], axis=-1)
+        if np.any(sigma0[suspect] <= eps * (q75 - q25)):
+            raise ZeroSpread("null scale estimate is zero at the scores' resolution: "
+                             "at most eps times their interquartile range")
 
 
 def norm_cdf(x):

@@ -80,6 +80,43 @@ def tie_groups(x):
     return order, first
 
 
+# The int64 key of +inf with its label bit set.  Every non-NaN value's tagged
+# key lies in [~_INF_KEY, _INF_KEY]; a NaN's, quiet after x + 0.0, outside.
+_INF_KEY = 0x7FF0000000000001
+
+
+def label_order(x, y):
+    """(labels, clean) of the rows of a (q, n) value matrix, NaN at missing
+    cells, and n 0/1 labels y.  ``x`` is overwritten: its buffer becomes
+    ``labels``.
+
+    Each value maps to an order-preserving int64 key (the bits of x + 0.0,
+    so that -0.0 and +0.0 share a key, with the magnitude bits flipped when
+    negative), whose last bit is then replaced by the entry's label, and
+    each row's keys are sorted.  ``clean`` marks the rows without NaN whose
+    keys all differ above the last bit.  A clean row's values are distinct
+    and in key order, so its row of ``labels`` holds y in the order of its
+    values as 0.0/1.0: ``y[np.argsort(row)]``, bit for bit.  Other rows'
+    labels are unspecified.
+    """
+    np.add(x, 0.0, out=x)
+    k = x.view(np.int64)
+    flip = k >> 63  # -1 where negative, else 0
+    flip &= 0x7FFFFFFFFFFFFFFF
+    k ^= flip
+    del flip
+    k &= -2
+    k |= np.asarray(y, dtype=np.int64)
+    k.sort(axis=1)
+    steps = k[:, 1:] ^ k[:, :-1]
+    clean = (steps.view(np.uint64) > 1).all(axis=1)
+    del steps
+    clean &= (k[:, 0] >= ~_INF_KEY) & (k[:, -1] <= _INF_KEY)
+    k &= 1
+    k *= 0x3FF0000000000000  # the bits of 1.0
+    return x, clean
+
+
 def mid_ranks(order, first, nj):
     """(u, sigma_mid) of q rows from their ``tie_groups`` and their counts
     nj >= 1 of present entries: u (q, n) is (average rank - 1/2) / n_j at

@@ -2,13 +2,18 @@
 
 Every complete, tie-free column of length n has the mid-ranks (i - 1/2)/n in
 some order, so all such columns share one n x M score table T.  Their label
-correlations are a gather of the labels by each column's sort order and one
-matmul with T.  Columns with ties or missing entries take a batched form of
-the single-column path instead: ``midrank.tie_groups`` and ``mid_ranks``
-give the batch's mid-ranks from one sort, then ``recurrence_scores`` builds
-its scores under per-column weights 1/n_j, as both do for a single column.
-Which path a column takes depends only on whether it is complete and
-tie-free.
+correlations need only each column's labels in value order, and one matmul
+with T.  ``midrank.label_order`` gives those labels from one int64 sort of
+label-tagged keys of the whole block, for the columns whose keys all differ
+above the label bit.  The other columns (incomplete, tied, holding both
+zeros or two values one ulp apart) and every column when n is too short for
+T take ``midrank.tie_groups``: one argsort and one sort.  Those of them that
+are complete and tie-free after all take T with the labels gathered by their
+sort order; the rest take a batched form of the single-column path, where
+``mid_ranks`` gives their mid-ranks and ``recurrence_scores`` builds their
+scores under per-column weights 1/n_j, as both do for a single column.
+Which path a column takes depends on that column alone, and both routes to T
+give the same bits.
 
 The panel is a ``ColumnMatrix``: one (p, n) value matrix and its missing
 mask.  Columns are processed in blocks of BLOCK_CELLS // n rows of it, so
@@ -30,7 +35,7 @@ import numpy as np
 from .cr import label_correlations
 from .dataset import ColumnMatrix
 from .errors import NonFinite
-from .midrank import VariableColumn, mid_rank_transform, mid_ranks, tie_groups
+from .midrank import VariableColumn, label_order, mid_rank_transform, mid_ranks, tie_groups
 from .score_basis import DEFAULT_M, ScoreBasis, check_m, feasible_score_basis, recurrence_scores
 
 # Cells (columns x rows) of one block; see the module docstring.
@@ -92,55 +97,73 @@ def panel_cr(variables: ColumnMatrix, labels, m: int) -> PanelCr:
 
 
 def _block(cols, y, m, grid, out, start):
-    n = y.size
+    n, q = y.size, len(cols)
     present = ~cols.missing
-    x = np.where(present, cols.values, np.nan)
     nj = present.sum(axis=1)
     n1 = present @ y
-    bad = np.flatnonzero((nj >= 2) & (present & ~np.isfinite(x)).any(axis=1))
+    bad = np.flatnonzero((nj >= 2) & (present & ~np.isfinite(cols.values)).any(axis=1))
     if bad.size:
         raise NonFinite(f"variable {cols.names[bad[0]]!r}: non-missing NaN or infinite value")
 
-    order, first = tie_groups(x)  # missing (NaN) entries last
-    del x  # freed before the gathers below to lower the block's peak
-    present_sorted = np.arange(n) < nj[:, None]
-    distinct = (first & present_sorted).sum(axis=1)
-
-    flags = np.full(len(cols), "", dtype=object)
+    flags = np.full(q, "", dtype=object)
     flags[(n1 < 2) | (nj - n1 < 2)] = "class-too-small"
-    flags[distinct == 1] = "constant"
-    flags[nj < 2] = "all-missing"
-    ok = flags == ""
-    shared = ok & (nj == n) & (distinct == n) & (grid is not None)
-    views = (out.components, out.m_used, out.sigma_mid, out.a, out.b)
-    comps, m_used, sigma, a, b = (v[start : start + len(cols)] for v in views)
+    views = [v[start : start + q] for v in (out.components, out.m_used, out.sigma_mid, out.a, out.b)]
 
-    if shared.any():
-        # Complete and tie-free: the score of the entry of rank r is T[r - 1].
-        # One matmul a column, so that no other column moves its bits.
-        table = grid.score_matrix
-        mean_t = table.mean(axis=0)
-        sd_t = np.sqrt(np.maximum((table**2).mean(axis=0) - mean_t**2, 0.0))
-        pi = n1[shared, None] / n
-        cov = (y[order[shared]][:, None, :] @ table)[:, 0] / n - pi * mean_t
-        comps[shared] = cov / (np.sqrt(pi * (1.0 - pi)) * sd_t)
-        m_used[shared] = m
-        sigma[shared], a[shared], b[shared] = grid.sigma_mid, grid.a, grid.b
+    clean = np.zeros(q, dtype=bool)
+    if grid is not None:
+        labels, clean = label_order(np.where(present, cols.values, np.nan), y)
+        shared = clean & (flags == "")
+        if shared.any():
+            _shared(shared, labels if shared.all() else labels[shared], n1, grid, views)
+        del labels  # freed before the other rows' sorts below
 
-    masked = np.flatnonzero(ok & ~shared)
-    if masked.size:
-        # See the module docstring; M <= DEFAULT_M takes one run.
-        run = max(1, DEFAULT_M * BLOCK_CELLS // (min(m, n - 2) * n))
-        for lo in range(0, masked.size, run):
-            part = masked[lo : lo + run]
-            comps[part], m_used[part], sigma[part], a[part], b[part] = _masked(
-                order[part], first[part], present[part], nj[part], n1[part], y, m
-            )
-        reduced = masked[m_used[masked] < m]
-        flags[reduced] = [f"reduced-m:{k}" for k in m_used[reduced]]
+    # The other rows: their tie groups, then the shared table for those that
+    # are complete and tie-free after all (values one ulp apart).
+    slow = np.flatnonzero(~clean)
+    if slow.size:
+        order, first = tie_groups(np.where(present[slow], cols.values[slow], np.nan))
+        distinct = (first & (np.arange(n) < nj[slow, None])).sum(axis=1)
+        slow_flags = flags[slow]
+        slow_flags[distinct == 1] = "constant"
+        slow_flags[nj[slow] < 2] = "all-missing"
+        flags[slow] = slow_flags
+        ok = slow_flags == ""
+        tie_free = ok & (nj[slow] == n) & (distinct == n) & (grid is not None)
+        if tie_free.any():
+            _shared(slow[tie_free], y[order[tie_free]], n1, grid, views)
+        masked = np.flatnonzero(ok & ~tie_free)  # positions in slow
+        if masked.size:
+            comps, m_used, sigma, a, b = views
+            # See the module docstring; M <= DEFAULT_M takes one run.
+            run = max(1, DEFAULT_M * BLOCK_CELLS // (min(m, n - 2) * n))
+            for lo in range(0, masked.size, run):
+                part = masked[lo : lo + run]
+                rows = slow[part]
+                comps[rows], m_used[rows], sigma[rows], a[rows], b[rows] = _masked(
+                    order[part], first[part], present[rows], nj[rows], n1[rows], y, m
+                )
+            reduced = slow[masked][m_used[slow[masked]] < m]
+            flags[reduced] = [f"reduced-m:{k}" for k in m_used[reduced]]
 
-    out.n_effective[start : start + len(cols)] = nj
-    out.flags[start : start + len(cols)] = flags.tolist()
+    out.n_effective[start : start + q] = nj
+    out.flags[start : start + q] = flags.tolist()
+
+
+def _shared(rows, ys, n1, grid, views):
+    """Fill ``views`` (components, m_used, sigma_mid, a, b) at ``rows`` of
+    complete, tie-free columns from ys, their labels in value order: the
+    entry of rank r takes the score T[r - 1] of the grid's table T.  One
+    matmul a column, so that no other column moves its bits."""
+    comps, m_used, sigma, a, b = views
+    table = grid.score_matrix
+    n, m = table.shape
+    mean_t = table.mean(axis=0)
+    sd_t = np.sqrt(np.maximum((table**2).mean(axis=0) - mean_t**2, 0.0))
+    pi = n1[rows, None] / n
+    cov = (ys[:, None, :] @ table)[:, 0] / n - pi * mean_t
+    comps[rows] = cov / (np.sqrt(pi * (1.0 - pi)) * sd_t)
+    m_used[rows] = m
+    sigma[rows], a[rows], b[rows] = grid.sigma_mid, grid.a, grid.b
 
 
 def _masked(order, first, present, nj, n1, y, m):

@@ -61,6 +61,23 @@ class TestEstimateNull:
         with pytest.raises(ZeroSpread):
             estimate_null(np.full(30, 1.5))
 
+    def test_a_scale_within_eps_of_the_quartile_gap_is_zero_spread(self):
+        # Ten 0s, one s and nine 1s: median and MAD s/2, so the robust scale
+        # is 0.7413 s, against an interquartile range of 1.
+        eps = np.finfo(float).eps
+        for s, raises in ((3.29e-265, True), (eps, True), (2.0 * eps, False)):
+            z = np.r_[np.zeros(10), s, np.ones(9)]
+            batch = np.stack([np.linspace(-1.0, 1.0, 20), z])
+            if raises:
+                with pytest.raises(ZeroSpread, match="null scale estimate is zero"):
+                    estimate_null(z, NullMethod.ROBUST_MEDIAN_MAD)
+                with pytest.raises(ZeroSpread):
+                    estimate_null(batch, NullMethod.ROBUST_MEDIAN_MAD)
+            else:
+                assert estimate_null(z, NullMethod.ROBUST_MEDIAN_MAD).sigma0 == 1.4826 * s / 2.0
+            # The fixed theoretical null is not estimated: its scale stays 1.
+            assert estimate_null(z, NullMethod.FIXED_THEORETICAL).sigma0 == 1.0
+
 
 class TestPreflatten:
     def test_center_maps_to_half(self):
@@ -198,9 +215,11 @@ class TestInverseFdr:
 
     @pytest.mark.parametrize("tiny", [3.292478195469615e-265, 1e-320])
     def test_a_tiny_null_scale_gives_a_zero_weight_silently(self, tiny):
-        # The median-MAD scale is about tiny, so (1 - mu0) / sigma0 squared,
-        # or the quotient itself, overflows.
-        z = np.array([0.0] * 10 + [1.0] * 9 + [tiny])
+        # Twelve scores at multiples of tiny between four 0s and four 1s: the
+        # median-MAD scale is about 7 tiny, well above eps times the
+        # interquartile range of about 9 tiny, yet (1 - mu0) / sigma0
+        # squared, or the quotient itself, overflows.
+        z = np.r_[np.zeros(4), np.arange(1, 13) * tiny, np.ones(4)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = cdfdr_pipeline(z, FdrConfig(null_method=NullMethod.ROBUST_MEDIAN_MAD))

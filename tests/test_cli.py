@@ -568,6 +568,19 @@ def test_fdr_constant_scores_exit_code(tmp_path, capsys):
     assert_data_error(capsys, "null scale estimate is zero")
 
 
+def test_fdr_null_scale_at_the_scores_resolution_exit_code(tmp_path, capsys):
+    # Median and MAD both about 1.6e-265: a scale that standardizes every
+    # score off the null centre past 1e264 and lets the theoretical weight
+    # select the items at that centre.
+    path = write_scores(tmp_path / "z.csv", [0.0] * 10 + [1.0] * 9 + [3.29e-265])
+    out = tmp_path / "o.csv"
+    code = main(["fdr", str(path), "--col", "z", "--null-method", "robust-median-mad",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert_data_error(capsys, "null scale estimate is zero")
+    assert not out.exists()
+
+
 def test_rank_all_constant_columns_exit_code(tmp_path, capsys):
     p = 25
     rows = [",".join([f"c{j}" for j in range(p)] + ["cls"])]

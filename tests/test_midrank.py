@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from cdmine.errors import AllMissing, NonFinite
-from cdmine.midrank import VariableColumn, mid_rank_transform
+from cdmine.midrank import VariableColumn, label_order, mid_rank_transform, tie_groups
 
 
 def column(values, missing=None):
@@ -119,3 +119,65 @@ def test_matches_rankdata_and_unique_counts_bit_for_bit(n, n_levels, seed):
     np.testing.assert_array_equal(mr.u, (rankdata(x, method="average") - 0.5) / n)
     sizes = np.unique(x, return_counts=True)[1]
     assert mr.sigma_mid == float(np.sqrt(max((1.0 - np.sum(sizes**3.0) / n**3.0) / 12.0, 0.0)))
+
+
+# Values whose keys differ in the last bit or not at all: both zeros,
+# subnormals, the largest doubles and neighbours of each (see ulps_from).
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0,
+               1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def ulps_from(value, steps):
+    """value moved |steps| neighbouring doubles up or down, kept finite."""
+    for _ in range(abs(steps)):
+        with np.errstate(over="ignore"):
+            nxt = np.nextafter(value, np.inf if steps > 0 else -np.inf)
+        value = nxt if np.isfinite(nxt) else value
+    return float(value)
+
+
+@st.composite
+def keyed_rows(draw):
+    """(x, y): a (q, n) matrix of runs of neighbouring doubles, edge values,
+    any finite doubles and NaN-missing cells, and n 0/1 labels."""
+    q, n = draw(st.integers(1, 5)), draw(st.integers(1, 24))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    anchors = draw(st.lists(st.one_of(st.sampled_from(EDGE_VALUES), finite), min_size=1, max_size=4))
+    near = st.tuples(st.sampled_from(anchors), st.integers(-2, 2)).map(lambda t: ulps_from(*t))
+    cells = draw(st.lists(st.one_of(near, finite, st.just(np.nan)), min_size=q * n, max_size=q * n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return np.array(cells).reshape(q, n), np.array(labels)
+
+
+@settings(max_examples=250, deadline=None)
+@given(keyed_rows())
+def test_label_order_gives_the_sorted_labels_of_exactly_the_distinct_key_rows(case):
+    x, y = case
+    labels, clean = label_order(x.copy(), y)
+    order, first = tie_groups(x)
+    complete = ~np.isnan(x).any(axis=1)
+    # Every clean row is complete and tie-free, and its labels are y in the
+    # order of its values, bit for bit.
+    assert np.all(complete[clean]) and np.all(first[clean])
+    want = y.astype(float)[order]
+    np.testing.assert_array_equal(labels[clean].view(np.int64), want[clean].view(np.int64))
+    # A complete row is clean exactly when no two of its values share their
+    # bits above the last one, -0.0 counted as +0.0.
+    high = (x + 0.0).view(np.int64) >> 1
+    distinct_keys = np.array([np.unique(row).size == x.shape[1] for row in high])
+    np.testing.assert_array_equal(clean, complete & distinct_keys)
+
+
+def test_label_order_leaves_ties_both_zeros_and_neighbours_to_the_sort():
+    one_up = np.nextafter(1.0, 2.0)
+    x = np.array([
+        [3.0, -1.0, 2.0, 0.0],  # distinct, with one zero: clean
+        [-0.0, -1.0, 2.0, 0.0],  # -0.0 == 0.0
+        [1.0, one_up, 2.0, 3.0],  # distinct values whose keys differ in the last bit only
+        [1.0, 1.0, 2.0, 3.0],
+        [1.0, np.nan, 2.0, 3.0],
+    ])
+    y = np.array([1, 0, 0, 1])
+    labels, clean = label_order(x.copy(), y)
+    assert clean.tolist() == [True, False, False, False, False]
+    np.testing.assert_array_equal(labels[0], [0.0, 1.0, 0.0, 1.0])

@@ -22,7 +22,7 @@ from cdmine import panel, pipeline
 from cdmine.comp_density import TwoSampleData, estimate_cd, theta_hat
 from cdmine.dataset import ColumnMatrix, Dataset, load_csv
 from cdmine.errors import ConfigError, NonFinite
-from cdmine.midrank import VariableColumn, mid_rank_transform
+from cdmine.midrank import VariableColumn, label_order, mid_rank_transform
 from cdmine.pipeline import analyze
 from cdmine.score_basis import feasible_score_basis
 
@@ -322,6 +322,69 @@ def test_both_paths_agree_on_a_complete_tie_free_column():
     with mock.patch.object(panel, "grid_scores", lambda n, m: None):
         masked = panel.panel_cr(ds.variables, y, 4).components[0]
     np.testing.assert_allclose(table, masked, atol=TOL)
+
+
+def every_row_sorted(x, y):
+    """``label_order`` with no clean row: every column takes ``tie_groups``."""
+    return x, np.zeros(len(x), dtype=bool)
+
+
+def assert_same_rows(got, want):
+    for field in ("components", "n_effective", "m_used", "sigma_mid", "a", "b"):
+        np.testing.assert_array_equal(
+            getattr(got, field).view(np.uint8), getattr(want, field).view(np.uint8), field
+        )
+    assert got.flags == want.flags
+
+
+def test_one_ulp_and_both_zero_columns_take_the_sort_and_keep_their_rows():
+    rng = np.random.default_rng(12)
+    n, p = 40, 5
+    y = np.arange(n) % 2
+    values = rng.normal(size=(p, n)) + y
+    values[1, 4:6] = 1.0, np.nextafter(1.0, 2.0)  # tie-free, keys alike
+    values[2, :2] = 0.0, -0.0  # tied: -0.0 == 0.0
+    values[3, 7] = -0.0  # one zero only
+    cols = ColumnMatrix(values, np.zeros((p, n), dtype=bool), [f"v{j}" for j in range(p)])
+    assert label_order(values.copy(), y)[1].tolist() == [True, False, False, True, True]
+    got = panel.panel_cr(cols, y, 4)
+    with mock.patch.object(panel, "label_order", every_row_sorted):
+        want = panel.panel_cr(cols, y, 4)
+    assert_same_rows(got, want)
+    grid = panel.grid_scores(n, 4)
+    # The one-ulp column is tie-free, so the sort sends it to the shared table.
+    assert got.sigma_mid[1] == grid.sigma_mid and got.sigma_mid[2] < grid.sigma_mid
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 70), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_label_keys_give_the_rows_of_a_sort_of_every_column(n, m, seed):
+    """Columns of every scale with ties, both zeros, neighbouring doubles,
+    subnormals, NA and constants: the rows equal those of sorting them all."""
+    rng = np.random.default_rng(seed)
+    p = 30
+    values = rng.normal(size=(p, n)) * 10.0 ** rng.integers(-300, 300, size=(p, 1))
+    missing = np.zeros((p, n), dtype=bool)
+    for j, kind in enumerate(rng.integers(0, 7, p)):
+        i, k = rng.choice(n, 2, replace=False)
+        if kind == 0:
+            values[j] = np.round(rng.normal(size=n))
+        elif kind == 1:
+            values[j, i], values[j, k] = 0.0, -0.0
+        elif kind == 2:
+            values[j, k] = np.nextafter(values[j, i], np.inf)
+        elif kind == 3:
+            values[j] = rng.normal(size=n) * 1e-320
+        elif kind == 4:
+            missing[j, rng.random(n) < 0.2] = True
+        elif kind == 5:
+            values[j] = 3.0
+    cols = ColumnMatrix(values, missing, [f"v{j}" for j in range(p)])
+    y = rng.permutation(np.arange(n) % 2)
+    got = panel.panel_cr(cols, y, m)
+    with mock.patch.object(panel, "label_order", every_row_sorted):
+        want = panel.panel_cr(cols, y, m)
+    assert_same_rows(got, want)
 
 
 def test_non_missing_inf_is_a_located_error():
