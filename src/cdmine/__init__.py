@@ -9,7 +9,6 @@ from .cdfdr import (
     EmpiricalNull,
     FdrConfig,
     FdrResult,
-    NullMethod,
     cdfdr_pipeline,
     estimate_null,
     estimate_residual_density,

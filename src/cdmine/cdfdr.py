@@ -1,10 +1,18 @@
 """Comparison-density local fdr (CDfdr) threshold selection.
 
-Scores are flattened through an estimated null cdf, the residual density of
-the flattened values is fit by a short shifted-Legendre series, and the
-inverse fdr f/f0 is recovered as (estimated-null / theoretical-null density
-ratio) x (residual density).  Items with inverse fdr >= 1/level are selected;
-the conventional level 0.2 corresponds to the threshold 5.
+Scores are flattened through a Gaussian null fit by their pooled mean and
+standard deviation, the residual density of the flattened values is fit by a
+short shifted-Legendre series, and the inverse fdr f/f0 is recovered as
+(estimated-null / theoretical-null density ratio) x (residual density).
+Items with inverse fdr >= 1/level pass; the conventional level 0.2
+corresponds to the threshold 5.  On each side of the null centre the
+selection is then one threshold in z: an item is selected only when every
+item beyond it on its side passes.
+
+This is the one selection rule.  Strong signals inflate the pooled scale
+above 1, so the weight grows with z; under a robust scale below 1 it shrinks,
+and a weight of 1 leaves the series alone, which for sparse signals stays
+under the threshold: both missed the strongest items.
 
 Every stage works along the last axis of z: a (runs, p) matrix is that many
 independent selections, and each row gets the bits a 1-D call on it gets.
@@ -13,7 +21,6 @@ independent selections, and each row gets the bits a 1-D call on it gets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import eval_legendre, gammaln, log_ndtr, logsumexp, ndtr, ndtri_exp
@@ -37,12 +44,6 @@ _SQRT_2PI = np.sqrt(2 * np.pi)
 _LOG_SQRT_2PI = np.log(_SQRT_2PI)
 
 
-class NullMethod(str, Enum):
-    POOLED_MOMENTS = "pooled-moments"
-    ROBUST_MEDIAN_MAD = "robust-median-mad"
-    FIXED_THEORETICAL = "fixed-theoretical"
-
-
 @dataclass(frozen=True)
 class EmpiricalNull:
     """Null location and scale: floats for 1-D scores, arrays over the
@@ -50,7 +51,6 @@ class EmpiricalNull:
 
     mu0: float | np.ndarray
     sigma0: float | np.ndarray
-    method: NullMethod
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,8 @@ class FdrConfig:
     """The CDfdr settings; their defaults are the package's defaults."""
 
     fdr_level: float = 0.2
-    null_method: NullMethod = NullMethod.POOLED_MOMENTS
     n_coeffs: int = 6
     sides: str = "two"  # "two", "left", "right"
-    weight_mode: str = "theoretical"  # "theoretical" or "empirical"
 
     def __post_init__(self):
         check_fdr_level(self.fdr_level)
@@ -116,34 +114,26 @@ class FdrResult:
     selected: np.ndarray
 
 
-def estimate_null(z, method: NullMethod = FdrConfig.null_method) -> EmpiricalNull:
-    """The empirical null of each row of z, reduced along its last axis."""
+def estimate_null(z) -> EmpiricalNull:
+    """The empirical null of each row of z, reduced along its last axis: the
+    pooled mean and standard deviation of the row's scores."""
     z = np.asarray(z, dtype=float)
     p = z.shape[-1] if z.ndim else z.size
     if p < MIN_FDR_ITEMS:
         raise TooFewItems(f"need at least {MIN_FDR_ITEMS} scores, got {p}")
-    if method == NullMethod.FIXED_THEORETICAL:
-        mu0, sigma0 = np.zeros(z.shape[:-1]), np.ones(z.shape[:-1])
-    elif method == NullMethod.POOLED_MOMENTS:
-        mu0, sigma0 = z.mean(axis=-1), z.std(axis=-1, ddof=1)
-    elif method == NullMethod.ROBUST_MEDIAN_MAD:
-        mu0 = np.median(z, axis=-1)
-        sigma0 = 1.4826 * np.median(np.abs(z - _col(mu0)), axis=-1)
-    else:
-        raise ConfigError(f"unknown null method {method!r}")
-    if method != NullMethod.FIXED_THEORETICAL:
-        _check_spread(z, sigma0)
+    mu0, sigma0 = z.mean(axis=-1), z.std(axis=-1, ddof=1)
+    _check_spread(z, sigma0)
     if z.ndim == 1:
         mu0, sigma0 = float(mu0), float(sigma0)
-    return EmpiricalNull(mu0, sigma0, method)
+    return EmpiricalNull(mu0, sigma0)
 
 
 def _check_spread(z, sigma0):
     """Raise ZeroSpread where an estimated null scale is at or below eps
     times the interquartile range of its scores.  Such a scale is zero at
-    the scores' resolution: it standardizes every score off the null centre
-    past any bound, and the theoretical weight then selects the items on
-    that centre."""
+    the scores' resolution, as the pooled scale of a constant row is, or of
+    a row whose deviations square to below the smallest double: it would
+    standardize every score off the null centre past any bound."""
     eps = np.finfo(float).eps
     sigma0 = np.asarray(sigma0)
     # The interquartile range is at most the range, so only a scale within
@@ -219,21 +209,15 @@ def _add_term(d, coeff, term):
     d += term
 
 
-def inverse_fdr_curve(
-    z, null: EmpiricalNull, resid: ResidualDensity, weight_mode: str = FdrConfig.weight_mode
-) -> np.ndarray:
-    """Per-item inverse fdr f/f0.
-
-    In theoretical mode the exactly-known density ratio between the
-    estimated null and the standard normal acts as an adjusting weight on
-    the residual density; in empirical mode the estimated null *is* the
-    reference and the weight drops out.
-    """
+def inverse_fdr_curve(z, null: EmpiricalNull, resid: ResidualDensity) -> np.ndarray:
+    """Per-item inverse fdr f/f0: the exactly-known density ratio between the
+    estimated null and the standard normal acts as a weight on the residual
+    density."""
     z = np.asarray(z, dtype=float)
-    return _inverse_fdr(z, null, resid(preflatten(z, null)), weight_mode)
+    return _inverse_fdr(z, null, resid(preflatten(z, null)))
 
 
-def _inverse_fdr(z, null: EmpiricalNull, d, weight_mode: str):
+def _inverse_fdr(z, null: EmpiricalNull, d):
     """Inverse fdr from the residual density d at the items' flattened scores.
 
     Where the theoretical weight overflows (z^2/2 - zs^2/2 past about 709),
@@ -241,10 +225,6 @@ def _inverse_fdr(z, null: EmpiricalNull, d, weight_mode: str):
     1/level selects; where the standardized score zs or its square
     overflows under a tiny null scale, the weight is 0.
     """
-    if weight_mode == "empirical":
-        return d
-    if weight_mode != "theoretical":
-        raise ConfigError(f"unknown weight mode {weight_mode!r}")
     sigma0 = _col(null.sigma0)
     with np.errstate(over="ignore"):
         zs = (z - _col(null.mu0)) / sigma0
@@ -253,18 +233,36 @@ def _inverse_fdr(z, null: EmpiricalNull, d, weight_mode: str):
 
 
 def select(
-    inverse_fdr, u_flat, fdr_level: float = FdrConfig.fdr_level, sides: str = FdrConfig.sides
+    z, inverse_fdr, u_flat, fdr_level: float = FdrConfig.fdr_level,
+    sides: str = FdrConfig.sides,
 ) -> np.ndarray:
+    """The items selected on the chosen sides of the null centre, the right
+    side being u_flat >= 0.5 and the left side the rest.
+
+    An item passes where its inverse fdr is at least 1/level, and it is
+    selected only when every item beyond it on its side passes too.  So each
+    side's selection is everything past one threshold in z, taken per row:
+    the failing item farthest from the centre cuts off every item between
+    it and the centre.
+    """
     check_fdr_level(fdr_level)
-    inverse_fdr = np.asarray(inverse_fdr, dtype=float)
-    u_flat = np.asarray(u_flat, dtype=float)
-    mask = inverse_fdr >= 1.0 / fdr_level
-    if sides == "left":
-        mask &= u_flat < 0.5
-    elif sides == "right":
-        mask &= u_flat >= 0.5
-    elif sides != "two":
+    if sides not in ("two", "left", "right"):
         raise ConfigError(f"unknown sides {sides!r}")
+    z = np.asarray(z, dtype=float)
+    right = np.asarray(u_flat, dtype=float) >= 0.5
+    # Each row's failing scores, NaN where an item passes.  Every left item
+    # lies below every right one, so the largest failing z is the right
+    # side's cut, or left of every right item when none of them fails, and
+    # the smallest is the left side's.
+    failing = z.copy()
+    failing[np.asarray(inverse_fdr, dtype=float) >= 1.0 / fdr_level] = np.nan
+    mask = np.zeros(z.shape, dtype=bool)
+    if sides != "left":
+        cut = np.fmax.reduce(failing, axis=-1, initial=-np.inf, keepdims=True)
+        mask |= right & (z > cut)
+    if sides != "right":
+        cut = np.fmin.reduce(failing, axis=-1, initial=np.inf, keepdims=True)
+        mask |= ~right & (z < cut)
     return mask
 
 
@@ -350,14 +348,14 @@ def cdfdr_pipeline(z, config: FdrConfig = FdrConfig()) -> FdrResult:
     z = np.asarray(z, dtype=float)
     if not np.all(np.abs(z) <= Z_MAX):
         raise NonFinite(f"z-scores must be finite, with |z| <= {Z_MAX:g}")
-    null = estimate_null(z, config.null_method)
+    null = estimate_null(z)
     u = preflatten(z, null)
     # One pass over the Legendre terms at u serves both the fit and the
     # density at the items; estimate_residual_density followed by
     # inverse_fdr_curve would flatten z and evaluate the kept terms twice.
     resid, d = _fit_residual(u, config.n_coeffs)
-    inv = _inverse_fdr(z, null, d, config.weight_mode)
-    sel = select(inv, u, config.fdr_level, config.sides)
+    inv = _inverse_fdr(z, null, d)
+    sel = select(z, inv, u, config.fdr_level, config.sides)
     return FdrResult(
         z=z, u_flat=u, null=null, residual=resid, inverse_fdr=inv, selected=sel
     )

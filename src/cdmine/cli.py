@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .cdfdr import Z_MAX, FdrConfig, NullMethod, cdfdr_pipeline, check_fdr_level, cr_to_z
+from .cdfdr import Z_MAX, FdrConfig, cdfdr_pipeline, check_fdr_level, cr_to_z
 from .dataset import DEFAULT_MISSING_TOKENS, csv_rows, load_csv, utf8_fault
 from .errors import CdmineError, ConfigError, LabelError, ParseError
 from .panel import panel_cr
@@ -76,17 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", type=int, default=DEFAULT_M, help="number of score functions")
         p.add_argument("--out", default="cdmine_out")
 
-    def add_fdr_args(p):
-        p.add_argument("--fdr-level", type=float, default=FdrConfig.fdr_level)
-        p.add_argument(
-            "--null-method",
-            choices=[m.value for m in NullMethod],
-            default=FdrConfig.null_method.value,
-        )
-
     p = sub.add_parser("rank", help="rank all variables and select by CDfdr")
     add_dataset_args(p)
-    add_fdr_args(p)
+    p.add_argument("--fdr-level", type=float, default=FdrConfig.fdr_level)
     p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
     p.add_argument("--svg", action="store_true", help="also write SVG renderings")
 
@@ -100,12 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-kind", choices=["z", "cr"], default="z")
     p.add_argument("--n", type=int, default=None, help="sample size behind CR values")
     p.add_argument("--M", type=int, default=DEFAULT_M)
-    add_fdr_args(p)
+    p.add_argument("--fdr-level", type=float, default=FdrConfig.fdr_level)
     p.add_argument("--L", type=int, default=FdrConfig.n_coeffs, help="residual series length")
     p.add_argument("--sides", choices=["two", "left", "right"], default=FdrConfig.sides)
-    p.add_argument(
-        "--weight-mode", choices=["theoretical", "empirical"], default=FdrConfig.weight_mode
-    )
     p.add_argument("--out", default="cdmine_fdr.csv")
 
     p = sub.add_parser("simulate", help="run a contamination experiment")
@@ -141,12 +130,7 @@ def cmd_rank(args) -> int:
     dataset = load_dataset(args)
     if dataset.p:  # else analyze reports that there is nothing to analyze
         check_m(args.M, dataset.n)
-    report = analyze(
-        dataset,
-        m=args.M,
-        fdr_level=args.fdr_level,
-        null_method=NullMethod(args.null_method),
-    )
+    report = analyze(dataset, m=args.M, fdr_level=args.fdr_level)
     os.makedirs(args.out, exist_ok=True)
     write_ranked_csv(report, os.path.join(args.out, "ranked.csv"))
     write_summary_json(report, os.path.join(args.out, "summary.json"))
@@ -187,13 +171,7 @@ def cmd_fdr(args) -> int:
             raise ConfigError("--input-kind cr needs a sample size --n >= 1")
         check_m(args.M, args.n)
         bound = Z_MAX**2 / args.n
-    cfg = FdrConfig(
-        fdr_level=args.fdr_level,
-        null_method=NullMethod(args.null_method),
-        n_coeffs=args.L,
-        sides=args.sides,
-        weight_mode=args.weight_mode,
-    )
+    cfg = FdrConfig(fdr_level=args.fdr_level, n_coeffs=args.L, sides=args.sides)
     rows = csv_rows(args.csv)
     header = next(rows, None)
     if header is None:

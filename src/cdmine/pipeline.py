@@ -16,7 +16,6 @@ from .cdfdr import (
     MIN_FDR_ITEMS,
     FdrConfig,
     FdrResult,
-    NullMethod,
     cdfdr_pipeline,
     chi2_logsf,
     log_p_to_z,
@@ -104,11 +103,10 @@ def analyze(
     dataset: Dataset,
     m: int = DEFAULT_M,
     fdr_level: float = FdrConfig.fdr_level,
-    null_method: NullMethod = FdrConfig.null_method,
 ) -> AnalysisReport:
     check_m(m)
     # Built first, so that a level out of range fails before any work.
-    config = FdrConfig(fdr_level=fdr_level, null_method=null_method, sides="right")
+    config = FdrConfig(fdr_level=fdr_level, sides="right")
     if not dataset.variables:
         raise TooFewItems("no variables to analyze")
     panel = panel_cr(dataset.variables, dataset.labels, m)
@@ -219,7 +217,7 @@ def write_summary_json(report: AnalysisReport, path):
         payload["null"] = {
             "mu0": report.fdr.null.mu0,
             "sigma0": report.fdr.null.sigma0,
-            "method": report.fdr.null.method.value,
+            "method": "pooled-moments",
         }
     else:
         payload["fdr_skipped"] = f"fewer than {MIN_FDR_ITEMS} variables"

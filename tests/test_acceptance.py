@@ -367,7 +367,7 @@ def test_criterion_7_pure_null_fdr():
     good = 0
     for _ in range(100):
         z = rng.standard_normal(1000)
-        result = cdfdr_pipeline(z, FdrConfig(weight_mode="theoretical"))
+        result = cdfdr_pipeline(z, FdrConfig())
         good += int(result.selected.sum()) <= 5
     elapsed = time.time() - start
     ok = good >= 90 and elapsed < 30.0

@@ -4,14 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_legendre
 
 from cdmine.cdfdr import (
     DENSITY_FLOOR,
     U_EPS,
+    EmpiricalNull,
     FdrConfig,
-    NullMethod,
     ResidualDensity,
+    _check_spread,
     _legendre_terms,
     cdfdr_pipeline,
     chi2_logsf,
@@ -38,20 +41,9 @@ def legendre01(k, u):
 class TestEstimateNull:
     def test_pooled_moments_recovers_standard_normal(self):
         z = np.random.default_rng(0).standard_normal(1000)
-        null = estimate_null(z, NullMethod.POOLED_MOMENTS)
+        null = estimate_null(z)
         assert abs(null.mu0) < 0.1
         assert abs(null.sigma0 - 1.0) < 0.1
-
-    def test_robust_recovers_contaminated_null(self):
-        rng = np.random.default_rng(1)
-        z = np.concatenate([rng.standard_normal(950), rng.normal(6.0, 1.0, 50)])
-        null = estimate_null(z, NullMethod.ROBUST_MEDIAN_MAD)
-        assert abs(null.mu0) < 0.15
-        assert abs(null.sigma0 - 1.0) < 0.15
-
-    def test_fixed_theoretical(self):
-        null = estimate_null(np.zeros(25) + np.arange(25), NullMethod.FIXED_THEORETICAL)
-        assert (null.mu0, null.sigma0) == (0.0, 1.0)
 
     def test_too_few_items(self):
         with pytest.raises(TooFewItems):
@@ -62,21 +54,31 @@ class TestEstimateNull:
             estimate_null(np.full(30, 1.5))
 
     def test_a_scale_within_eps_of_the_quartile_gap_is_zero_spread(self):
-        # Ten 0s, one s and nine 1s: median and MAD s/2, so the robust scale
-        # is 0.7413 s, against an interquartile range of 1.
+        # Ten 0s and ten 1s: an interquartile range of 1.
         eps = np.finfo(float).eps
-        for s, raises in ((3.29e-265, True), (eps, True), (2.0 * eps, False)):
-            z = np.r_[np.zeros(10), s, np.ones(9)]
+        z = np.r_[np.zeros(10), np.ones(10)]
+        batch = np.stack([np.linspace(-1.0, 1.0, 20), z])
+        for scale, raises in ((0.0, True), (eps, True), (2.0 * eps, False)):
+            if raises:
+                with pytest.raises(ZeroSpread, match="null scale estimate is zero"):
+                    _check_spread(z, np.float64(scale))
+                with pytest.raises(ZeroSpread):
+                    _check_spread(batch, np.array([1.0, scale]))
+            else:
+                _check_spread(z, np.float64(scale))
+                _check_spread(batch, np.array([1.0, scale]))
+        # Ten 0s and ten s: deviations of s/2 square to 0 at s = 3.29e-265,
+        # so the pooled scale is 0 against an interquartile range of s.
+        for s, raises in ((3.29e-265, True), (1e-150, False)):
+            z = np.r_[np.zeros(10), np.full(10, s)]
             batch = np.stack([np.linspace(-1.0, 1.0, 20), z])
             if raises:
                 with pytest.raises(ZeroSpread, match="null scale estimate is zero"):
-                    estimate_null(z, NullMethod.ROBUST_MEDIAN_MAD)
+                    estimate_null(z)
                 with pytest.raises(ZeroSpread):
-                    estimate_null(batch, NullMethod.ROBUST_MEDIAN_MAD)
+                    estimate_null(batch)
             else:
-                assert estimate_null(z, NullMethod.ROBUST_MEDIAN_MAD).sigma0 == 1.4826 * s / 2.0
-            # The fixed theoretical null is not estimated: its scale stays 1.
-            assert estimate_null(z, NullMethod.FIXED_THEORETICAL).sigma0 == 1.0
+                assert estimate_null(z).sigma0 == z.std(ddof=1) > 0.0
 
 
 class TestPreflatten:
@@ -90,7 +92,7 @@ class TestPreflatten:
         assert preflatten(np.array([z]), null)[0] == pytest.approx(0.975, abs=1e-6)
 
     def test_strictly_monotone_and_clamped(self):
-        null = estimate_null(np.arange(30.0), NullMethod.FIXED_THEORETICAL)
+        null = EmpiricalNull(0.0, 1.0)
         z = np.array([-100.0, -1.0, 0.0, 1.0, 100.0])
         u = preflatten(z, null)
         assert np.all(np.diff(u) > 0)
@@ -174,34 +176,23 @@ def test_residual_density_equals_the_scipy_series_bit_for_bit(batch):
 
 
 class TestInverseFdr:
-    def test_empirical_mode_flat_residual(self):
-        z = np.random.default_rng(7).standard_normal(200)
-        null = estimate_null(z)
-        resid = estimate_residual_density((np.arange(200) + 0.5) / 200)
-        inv = inverse_fdr_curve(z, null, resid, weight_mode="empirical")
-        np.testing.assert_allclose(inv, 1.0)
-        assert not select(inv, preflatten(z, null)).any()
-
-    def test_modes_agree_under_standard_null(self):
-        z = np.linspace(-3, 3, 50)
-        null = estimate_null(np.arange(30.0), NullMethod.FIXED_THEORETICAL)
-        resid = estimate_residual_density(preflatten(z, null))
-        emp = inverse_fdr_curve(z, null, resid, weight_mode="empirical")
-        theo = inverse_fdr_curve(z, null, resid, weight_mode="theoretical")
-        np.testing.assert_allclose(theo, emp, atol=1e-12)
-
     def test_weight_closed_form(self):
         # scalar oracle: weight at z = 4 under a (0, 1.135) estimated null
-        from cdmine.cdfdr import EmpiricalNull
-
-        null = EmpiricalNull(0.0, 1.135, NullMethod.POOLED_MOMENTS)
+        null = EmpiricalNull(0.0, 1.135)
         resid = estimate_residual_density((np.arange(1000) + 0.5) / 1000)
         expected = (
             math.exp(-0.5 * (4.0 / 1.135) ** 2) / 1.135 / math.exp(-0.5 * 16.0)
         )
         inv = inverse_fdr_curve(np.array([4.0]), null, resid)
         assert inv[0] == pytest.approx(expected, rel=1e-10)
-
+        # Under the standard normal null the weight is 1: the inverse fdr is
+        # the residual density itself.
+        z = np.linspace(-3, 3, 50)
+        null = EmpiricalNull(0.0, 1.0)
+        resid = estimate_residual_density(preflatten(z, null))
+        np.testing.assert_allclose(
+            inverse_fdr_curve(z, null, resid), resid(preflatten(z, null)), atol=1e-12
+        )
 
     def test_overflowing_weight_is_capped_silently(self):
         # z = 41.2 puts z^2/2 - zs^2/2 past the largest exponent a double holds.
@@ -215,40 +206,58 @@ class TestInverseFdr:
 
     @pytest.mark.parametrize("tiny", [3.292478195469615e-265, 1e-320])
     def test_a_tiny_null_scale_gives_a_zero_weight_silently(self, tiny):
-        # Twelve scores at multiples of tiny between four 0s and four 1s: the
-        # median-MAD scale is about 7 tiny, well above eps times the
-        # interquartile range of about 9 tiny, yet (1 - mu0) / sigma0
+        # A null scale of 7 tiny, as a caller may pass one: (1 - mu0) / sigma0
         # squared, or the quotient itself, overflows.
         z = np.r_[np.zeros(4), np.arange(1, 13) * tiny, np.ones(4)]
+        null = EmpiricalNull(6.5 * tiny, 7.0 * tiny)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = cdfdr_pipeline(z, FdrConfig(null_method=NullMethod.ROBUST_MEDIAN_MAD))
-        assert np.all(np.isfinite(result.inverse_fdr))
-        assert np.all(result.inverse_fdr[z == 1.0] == 0.0)
-        assert np.all(result.u_flat[z == 1.0] == 1.0 - U_EPS)
+            u = preflatten(z, null)
+            inv = inverse_fdr_curve(z, null, estimate_residual_density(u))
+        assert np.all(np.isfinite(inv))
+        assert np.all(inv[z == 1.0] == 0.0)
+        assert np.all(u[z == 1.0] == 1.0 - U_EPS)
 
 
 class TestSelect:
     def test_all_ones_empty(self):
         u = np.linspace(0.01, 0.99, 50)
-        assert not select(np.ones(50), u).any()
+        assert not select(np.linspace(-2.3, 2.3, 50), np.ones(50), u).any()
 
     def test_level_is_inverse_threshold(self):
+        z = np.array([2.33, 2.05, -0.84])
         u = np.array([0.99, 0.98, 0.2])
         inv = np.array([5.0, 4.999, 6.0])
-        sel = select(inv, u, fdr_level=0.2)
+        sel = select(z, inv, u, fdr_level=0.2)
         np.testing.assert_array_equal(sel, [True, False, True])
 
     def test_sidedness(self):
+        z = np.array([-2.3, 2.3])
         u = np.array([0.01, 0.99])
         inv = np.array([10.0, 10.0])
-        np.testing.assert_array_equal(select(inv, u, sides="right"), [False, True])
-        np.testing.assert_array_equal(select(inv, u, sides="left"), [True, False])
-        np.testing.assert_array_equal(select(inv, u, sides="two"), [True, True])
+        np.testing.assert_array_equal(select(z, inv, u, sides="right"), [False, True])
+        np.testing.assert_array_equal(select(z, inv, u, sides="left"), [True, False])
+        np.testing.assert_array_equal(select(z, inv, u, sides="two"), [True, True])
+
+    def test_a_passing_item_nearer_the_centre_than_a_failing_one_is_not_selected(self):
+        # Per side, from the centre out: pass, fail, pass, pass.
+        z = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
+        u = norm_cdf(z)
+        inv = np.array([9.0, 9.0, 1.0, 9.0, 9.0, 1.0, 9.0, 9.0])
+        want = np.array([1, 1, 0, 0, 0, 0, 1, 1], dtype=bool)
+        np.testing.assert_array_equal(select(z, inv, u), want)
+        np.testing.assert_array_equal(select(z, inv, u, sides="right"), want & (z > 0))
+        # Each row of a batch has its own thresholds.
+        rows = select(np.stack([z, z]), np.stack([inv, np.full(8, 9.0)]), np.stack([u, u]))
+        np.testing.assert_array_equal(rows, [want, np.ones(8, dtype=bool)])
 
     def test_bad_level(self):
         with pytest.raises(ConfigError):
-            select(np.ones(3), np.full(3, 0.5), fdr_level=1.5)
+            select(np.zeros(3), np.ones(3), np.full(3, 0.5), fdr_level=1.5)
+
+    def test_bad_sides(self):
+        with pytest.raises(ConfigError, match="unknown sides"):
+            select(np.zeros(3), np.ones(3), np.full(3, 0.5), sides="both")
 
 
 def test_cr_to_z_monotone():
@@ -329,20 +338,20 @@ class TestPipeline:
     def test_shift_scale_equivariance(self):
         rng = np.random.default_rng(9)
         z = np.concatenate([rng.standard_normal(480), rng.normal(4.0, 1.0, 20)])
-        cfg = FdrConfig(weight_mode="empirical")
-        base = cdfdr_pipeline(z, cfg)
-        moved = cdfdr_pipeline(2.5 * z - 7.0, cfg)
+        base = cdfdr_pipeline(z)
+        moved = cdfdr_pipeline(2.5 * z - 7.0)
+        # The flattened scores and their residual density do not see an
+        # affine map of z; the weight compares the null with N(0, 1), so it
+        # does.
         np.testing.assert_allclose(moved.u_flat, base.u_flat, atol=1e-10)
         np.testing.assert_allclose(
             moved.residual.coeffs, base.residual.coeffs, atol=1e-10
         )
-        np.testing.assert_allclose(moved.inverse_fdr, base.inverse_fdr, atol=1e-10)
-        np.testing.assert_array_equal(moved.selected, base.selected)
 
     def test_tail_monotonicity_of_evaluator(self):
         rng = np.random.default_rng(10)
         z = np.concatenate([rng.standard_normal(950), rng.normal(4.52, 1.0, 50)])
-        result = cdfdr_pipeline(z, FdrConfig(weight_mode="empirical"))
+        result = cdfdr_pipeline(z)
         grid = np.linspace(0.98, 0.9999, 200)
         assert np.all(np.diff(result.residual(grid)) >= 0)
         tail = result.u_flat >= 0.98
@@ -386,12 +395,14 @@ class TestPipeline:
             cdfdr_pipeline(z)
 
     def test_p0_fixed_at_one(self):
-        # inverse fdr carries no null-proportion factor: a flat residual in
-        # empirical mode gives exactly 1, not 1/p0_hat
+        # inverse fdr carries no null-proportion factor: a flat residual
+        # gives exactly the weight, not the weight / p0_hat
         z = np.random.default_rng(14).standard_normal(500)
-        result = cdfdr_pipeline(z, FdrConfig(weight_mode="empirical"))
-        if not result.residual.kept.any():
-            np.testing.assert_allclose(result.inverse_fdr, 1.0)
+        result = cdfdr_pipeline(z)
+        assert not result.residual.kept.any()
+        zs = (z - result.null.mu0) / result.null.sigma0
+        weight = norm_pdf(zs) / result.null.sigma0 / norm_pdf(z)
+        np.testing.assert_allclose(result.inverse_fdr, weight, rtol=1e-12)
 
 
 def test_normal_kernels_match_scipy_norm_bit_for_bit():
@@ -408,12 +419,11 @@ def test_normal_kernels_match_scipy_norm_bit_for_bit():
         assert ours(z[3]) == ref(z[3])
 
 
-@pytest.mark.parametrize("weight_mode", ["theoretical", "empirical"])
 @pytest.mark.parametrize("n_coeffs", [1, 3, 6, 9])
-def test_pipeline_equals_the_public_entry_points(weight_mode, n_coeffs):
+def test_pipeline_equals_the_public_entry_points(n_coeffs):
     rng = np.random.default_rng(n_coeffs)
     z = np.concatenate([rng.standard_normal(900), rng.normal(4.0, 1.0, 100)])
-    cfg = FdrConfig(n_coeffs=n_coeffs, weight_mode=weight_mode)
+    cfg = FdrConfig(n_coeffs=n_coeffs)
     result = cdfdr_pipeline(z, cfg)
     u = preflatten(z, result.null)
     resid = estimate_residual_density(u, n_coeffs)
@@ -422,8 +432,9 @@ def test_pipeline_equals_the_public_entry_points(weight_mode, n_coeffs):
     np.testing.assert_array_equal(result.residual.kept, resid.kept)
     assert resid.kept.any()
     np.testing.assert_array_equal(
-        result.inverse_fdr, inverse_fdr_curve(z, result.null, resid, weight_mode)
+        result.inverse_fdr, inverse_fdr_curve(z, result.null, resid)
     )
+    np.testing.assert_array_equal(result.selected, select(z, result.inverse_fdr, u))
 
 
 def test_series_length_below_one_is_rejected_where_it_is_set():
@@ -432,3 +443,43 @@ def test_series_length_below_one_is_rejected_where_it_is_set():
     assert info.value.fields == ("n_coeffs",)
     with pytest.raises(ConfigError, match="n_coeffs must be >= 1"):
         estimate_residual_density(np.linspace(0.1, 0.9, 30), 0)
+
+
+@pytest.mark.parametrize("p, k, mu", [(200, 5, 10.0), (50, 2, 20.0), (1000, 25, 6.0), (1000, 0, 0.0)])
+def test_strong_sparse_signals_are_selected_and_a_pure_null_is_not(p, k, mu):
+    """In each of 200 seeded runs of p scores, k shifted by mu, the largest z
+    is selected; with no signal nothing is."""
+    rng = np.random.default_rng([p, k])
+    for _ in range(200):
+        z = rng.standard_normal(p)
+        z[:k] += mu
+        selected = cdfdr_pipeline(z, FdrConfig(sides="right")).selected
+        assert selected[np.argmax(z)] if k else not selected.any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(20, 400),
+    st.integers(0, 60),
+    st.floats(-12.0, 12.0),
+    st.sampled_from(["two", "left", "right"]),
+    st.sampled_from([0.05, 0.2, 0.5]),
+)
+@example(seed=149, p=400, k=40, mu=10.0, sides="right", level=0.2)
+def test_each_side_s_selection_is_an_upper_set_in_z(seed, p, k, mu, sides, level):
+    """On each side of the null centre, every item beyond a selected one is
+    selected, and every selected item passes the threshold 1/level."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(p)
+    z[:k] += mu
+    result = cdfdr_pipeline(z, FdrConfig(fdr_level=level, sides=sides))
+    sel = result.selected
+    assert np.all(result.inverse_fdr[sel] >= 1.0 / level)
+    right = result.u_flat >= 0.5
+    for side, out, chosen in ((right, z, sides != "left"), (~right, -z, sides != "right")):
+        picked = sel & side
+        if not chosen:
+            assert not picked.any()
+        elif picked.any():
+            assert picked[side & (out >= out[picked].min())].all()

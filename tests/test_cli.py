@@ -193,6 +193,17 @@ def test_rank_has_no_seed_flag(toy_csv, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "--label", "cls", "--null-method", "robust-median-mad"],
+    ["fdr", "--col", "z", "--null-method", "pooled-moments"],
+    ["fdr", "--col", "z", "--weight-mode", "theoretical"],
+])
+def test_removed_selection_options_are_usage_errors(toy_csv, tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(toy_csv), *argv[1:], "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
 def write_scores(path, values, col="z"):
     lines = [f"id,{col}"] + [f"g{i},{v}" for i, v in enumerate(values)]
     path.write_text("\n".join(lines) + "\n")
@@ -276,21 +287,13 @@ def run_silently(argv):
         return main(argv)
 
 
-@pytest.mark.parametrize(
-    "null_method, extremes",
-    [
-        ("fixed-theoretical", ["1e160"]),
-        ("robust-median-mad", ["1e200", "-1e200"]),
-        ("pooled-moments", ["1e160"]),
-    ],
-)
-def test_fdr_z_past_the_bound_is_located_and_silent(tmp_path, capsys, null_method, extremes):
-    """Past Z_MAX, z**2 overflows: the weights would be inf - inf = nan, or
-    the pooled spread inf."""
+@pytest.mark.parametrize("extremes", [["1e160"], ["1e200", "-1e200"]])
+def test_fdr_z_past_the_bound_is_located_and_silent(tmp_path, capsys, extremes):
+    """Past Z_MAX, z**2 overflows: the pooled spread would be inf, and the
+    weights inf - inf = nan."""
     path = write_scores(tmp_path / "z.csv", extreme_scores(extremes))
     out = tmp_path / "o.csv"
-    code = run_silently(["fdr", str(path), "--col", "z", "--null-method", null_method,
-                         "--out", str(out)])
+    code = run_silently(["fdr", str(path), "--col", "z", "--out", str(out)])
     assert code == EXIT_PARSE
     err = capsys.readouterr().err
     assert err == (f"parse error: row 31, column 'z': score {extremes[0]!r} is beyond "
@@ -311,14 +314,11 @@ def test_fdr_cr_whose_z_would_pass_the_bound_is_located_and_silent(tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("null_method", [m.value for m in cli.NullMethod])
-@pytest.mark.parametrize("weight_mode", ["theoretical", "empirical"])
-def test_fdr_scores_at_the_bound_give_finite_output(tmp_path, null_method, weight_mode):
+def test_fdr_scores_at_the_bound_give_finite_output(tmp_path):
     path = write_scores(tmp_path / "z.csv",
                         extreme_scores([repr(cdfdr.Z_MAX), repr(-cdfdr.Z_MAX)]))
     out = tmp_path / "o.csv"
-    assert run_silently(["fdr", str(path), "--col", "z", "--null-method", null_method,
-                         "--weight-mode", weight_mode, "--out", str(out)]) == EXIT_OK
+    assert run_silently(["fdr", str(path), "--col", "z", "--out", str(out)]) == EXIT_OK
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 31
@@ -358,12 +358,10 @@ def finite_cells(path, fields):
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(any_double, min_size=20, max_size=40),
-    st.sampled_from([m.value for m in cli.NullMethod]),
-    st.sampled_from(["theoretical", "empirical"]),
     st.sampled_from(["z", "cr"]),
 )
 def test_fdr_on_any_finite_scores_ends_in_output_or_a_located_error(
-    tmp_path_factory, scores, null_method, weight_mode, kind
+    tmp_path_factory, scores, kind
 ):
     """Every finite input gives finite output or a documented exit code,
     and no warning."""
@@ -371,7 +369,6 @@ def test_fdr_on_any_finite_scores_ends_in_output_or_a_located_error(
     path = write_scores(tmp / "s.csv", [repr(v) for v in scores])
     out = tmp / "o.csv"
     code = run_silently(["fdr", str(path), "--col", "z", "--input-kind", kind, "--n", "50",
-                         "--null-method", null_method, "--weight-mode", weight_mode,
                          "--out", str(out)])
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_CONFIG)
     if code == EXIT_OK:
@@ -430,12 +427,10 @@ def reject_constant(name):
     st.integers(1, 500),
     st.integers(1, 4),
     st.integers(1, 9),
-    st.sampled_from([m.value for m in cli.NullMethod]),
-    st.sampled_from(["theoretical", "empirical"]),
     st.sampled_from(["two", "left", "right"]),
 )
 def test_fdr_property_any_finite_magnitude(
-    tmp_path_factory, scores, kind, n, m, series, null_method, weight_mode, sides
+    tmp_path_factory, scores, kind, n, m, series, sides
 ):
     """fdr on finite scores up to the largest double, under every setting,
     ends in a full table of finite numbers or a located error."""
@@ -445,8 +440,8 @@ def test_fdr_property_any_finite_magnitude(
     path = write_scores(tmp / "s.csv", [repr(v) for v in scores])
     out = tmp / "o.csv"
     code = run_to_an_end(["fdr", str(path), "--col", "z", "--input-kind", kind, "--n", str(n),
-                          "--M", str(m), "--L", str(series), "--null-method", null_method,
-                          "--weight-mode", weight_mode, "--sides", sides, "--out", str(out)])
+                          "--M", str(m), "--L", str(series), "--sides", sides,
+                          "--out", str(out)])
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_CONFIG)
     if code != EXIT_OK:
         assert not out.exists()
@@ -483,8 +478,8 @@ def extreme_panels(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(extreme_panels(), st.integers(1, 4), st.sampled_from([m.value for m in cli.NullMethod]))
-def test_rank_property_any_finite_magnitude(tmp_path_factory, panel, m, null_method):
+@given(extreme_panels(), st.integers(1, 4))
+def test_rank_property_any_finite_magnitude(tmp_path_factory, panel, m):
     """rank on finite cells up to the largest double ends in finite outputs,
     with z and inverse_fdr empty only below the CDfdr minimum of variables,
     or in a located error."""
@@ -495,7 +490,7 @@ def test_rank_property_any_finite_magnitude(tmp_path_factory, panel, m, null_met
     write_cells(path, [f"v{j}" for j in range(p)], cells, labels)
     out = tmp / "o"
     code = run_to_an_end(["rank", str(path), "--label", "cls", "--M", str(m),
-                          "--null-method", null_method, "--out", str(out)])
+                          "--out", str(out)])
     assert code in (EXIT_OK, EXIT_CONFIG)
     if code != EXIT_OK:
         return
@@ -569,13 +564,11 @@ def test_fdr_constant_scores_exit_code(tmp_path, capsys):
 
 
 def test_fdr_null_scale_at_the_scores_resolution_exit_code(tmp_path, capsys):
-    # Median and MAD both about 1.6e-265: a scale that standardizes every
-    # score off the null centre past 1e264 and lets the theoretical weight
-    # select the items at that centre.
-    path = write_scores(tmp_path / "z.csv", [0.0] * 10 + [1.0] * 9 + [3.29e-265])
+    # Deviations of 1.6e-265 square to 0: a pooled scale of 0 against an
+    # interquartile range of 3.29e-265.
+    path = write_scores(tmp_path / "z.csv", [0.0] * 10 + [3.29e-265] * 10)
     out = tmp_path / "o.csv"
-    code = main(["fdr", str(path), "--col", "z", "--null-method", "robust-median-mad",
-                 "--out", str(out)])
+    code = main(["fdr", str(path), "--col", "z", "--out", str(out)])
     assert code == EXIT_CONFIG
     assert_data_error(capsys, "null scale estimate is zero")
     assert not out.exists()
@@ -762,6 +755,25 @@ def test_rank_at_extreme_signal_is_finite_and_silent(tmp_path):
     assert log10_p == pytest.approx((np.log1p(half) - half) / np.log(10.0), rel=1e-12)
 
 
+def test_rank_selects_a_column_shifted_by_five_sigma(tmp_path, capsys):
+    # 400 rows, 25 columns: g0's class-1 half is shifted by 5 sd; the other
+    # 24 are noise.
+    rng = np.random.default_rng(0)
+    n, p = 400, 25
+    y = np.arange(n) % 2
+    X = rng.normal(size=(n, p))
+    X[:, 0] += 5.0 * y
+    path = tmp_path / "shifted.csv"
+    write_cells(path, [f"g{j}" for j in range(p)], np.char.mod("%.6f", X), y)
+    out = tmp_path / "o"
+    assert main(["rank", str(path), "--label", "cls", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"ranked {p} variables; selected 1\n"
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["selected"] == ["g0"]
+    assert summary["null"]["method"] == "pooled-moments"
+
+
 def write_named_panel(path, names, shifted, n=80, seed=9):
     """A CSV panel with the given column names (written with csv quoting) and
     a class shift on the columns at the positions in ``shifted``."""
@@ -895,8 +907,7 @@ def test_every_flag_defaults_to_its_setting():
     assert rank.top_k == DEFAULT_TOP_K
     for args in (rank, fdr):
         assert args.fdr_level == cfg.fdr_level
-        assert args.null_method == cfg.null_method.value
-    assert (fdr.L, fdr.sides, fdr.weight_mode) == (cfg.n_coeffs, cfg.sides, cfg.weight_mode)
+    assert (fdr.L, fdr.sides) == (cfg.n_coeffs, cfg.sides)
     # Every simulate setting but the signal count, which SimConfig leaves
     # to its caller, is a config-file key as well.
     sim_cfg = SimConfig(m_signals=sim.signals)
