@@ -36,13 +36,14 @@ def component_correlations(data: TwoSampleData, basis: ScoreBasis) -> np.ndarray
 
 
 def label_correlations(scores, y, nj, n1) -> np.ndarray:
-    """Sample correlations (k, q) of the 0/1 labels y (n,) with the scores
-    (k, q, n) of q columns, zero at a column's missing entries, each from its
-    own dot products.  A column has nj present entries, n1 of them labelled
-    1; a score of zero spread gives a non-finite correlation, silently."""
+    """Sample correlations (k, q) of the 0/1 labels y, (n,) or one row (q,
+    n) a column, with the scores (k, q, n) of q columns, zero at a column's
+    missing entries, each from its own dot products.  A column has nj
+    present entries, n1 of them labelled 1; a score of zero spread gives a
+    non-finite correlation, silently."""
     pi = n1 / nj
     mean_s = scores.sum(axis=2) / nj
-    cov = (scores[..., None, :] @ y[:, None])[..., 0, 0] / nj - pi * mean_s
+    cov = (scores[..., None, :] @ y[..., None])[..., 0, 0] / nj - pi * mean_s
     sd_s = np.sqrt(np.maximum((scores**2).sum(axis=2) / nj - mean_s**2, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         return cov / (np.sqrt(pi * (1.0 - pi)) * sd_s)

@@ -4,6 +4,11 @@ The mid-distribution value of an observation is F(x) - 0.5 p(x), which for a
 sample reduces to (average_rank - 0.5) / n.  Ties always take average ranks,
 so discrete, continuous and ordered-categorical columns go through the same
 code path.  Missing entries are dropped per column (pairwise deletion).
+
+The batched functions work in value order: ``label_order`` and
+``tie_groups`` sort each row of a block with its missing cells last, and
+``mid_ranks`` gives the mid-ranks in that order.  ``mid_rank_transform``
+scatters one column's mid-ranks back to input order.
 """
 
 from __future__ import annotations
@@ -56,15 +61,19 @@ class MidRankVector:
 
 def mid_rank_transform(col: VariableColumn) -> MidRankVector:
     """Map the non-missing values of a column to (avg_rank - 0.5) / n: the
-    one-column case of ``tie_groups`` and ``mid_ranks``."""
+    one-column case of ``tie_groups`` and ``mid_ranks``, scattered back to
+    input order."""
     x = col.present()
     if x.size < 2:
         raise AllMissing(f"column {col.name!r}: fewer than 2 non-missing values")
     if not np.all(np.isfinite(x)):
         raise NonFinite(f"column {col.name!r}: non-missing NaN or infinite value")
     n = x.size
-    u, sigma = mid_ranks(*tie_groups(x[None]), np.array([n]))
-    return MidRankVector(u=u[0], n_effective=n, sigma_mid=float(sigma[0]))
+    order, first = tie_groups(x[None])
+    u_sorted, sigma = mid_ranks(first, np.array([n]))
+    u = np.empty(n)
+    u[order[0]] = u_sorted[0]
+    return MidRankVector(u=u, n_effective=n, sigma_mid=float(sigma[0]))
 
 
 def tie_groups(x):
@@ -86,18 +95,19 @@ _INF_KEY = 0x7FF0000000000001
 
 
 def label_order(x, y):
-    """(labels, clean) of the rows of a (q, n) value matrix, NaN at missing
-    cells, and n 0/1 labels y.  ``x`` is overwritten: its buffer becomes
-    ``labels``.
+    """(labels, exact) of the rows of a (q, n) value matrix, NaN (np.nan) at
+    missing cells, and n 0/1 labels y.  ``x`` is overwritten: its buffer
+    becomes ``labels``.
 
     Each value maps to an order-preserving int64 key (the bits of x + 0.0,
     so that -0.0 and +0.0 share a key, with the magnitude bits flipped when
     negative), whose last bit is then replaced by the entry's label, and
-    each row's keys are sorted.  ``clean`` marks the rows without NaN whose
-    keys all differ above the last bit.  A clean row's values are distinct
-    and in key order, so its row of ``labels`` holds y in the order of its
-    values as 0.0/1.0: ``y[np.argsort(row)]``, bit for bit.  Other rows'
-    labels are unspecified.
+    each row's keys are sorted.  A missing cell's key lies above every
+    value's, so a row's n_j present keys come first.  ``exact`` marks the
+    rows whose present keys all differ above the last bit.  An exact row's
+    present values are distinct and in key order, so its first n_j labels
+    hold y in the order of its values as 0.0/1.0: ``y[np.argsort(row)]``,
+    bit for bit.  Every other entry of ``labels`` is 0.0 or 1.0.
     """
     np.add(x, 0.0, out=x)
     k = x.view(np.int64)
@@ -108,27 +118,30 @@ def label_order(x, y):
     k &= -2
     k |= np.asarray(y, dtype=np.int64)
     k.sort(axis=1)
-    steps = k[:, 1:] ^ k[:, :-1]
-    clean = (steps.view(np.uint64) > 1).all(axis=1)
-    del steps
-    clean &= (k[:, 0] >= ~_INF_KEY) & (k[:, -1] <= _INF_KEY)
+    tied = (k[:, 1:] ^ k[:, :-1]).view(np.uint64) <= 1
+    exact = ~tied.any(axis=1)
+    # Missing cells' keys, which sort last, tie only among themselves.
+    holes = np.flatnonzero(~exact & (k[:, -1] > _INF_KEY))
+    exact[holes] = ~(tied[holes] & (k[holes, :-1] <= _INF_KEY)).any(axis=1)
+    del tied
+    exact &= k[:, 0] >= ~_INF_KEY  # a negative NaN would sort first
     k &= 1
     k *= 0x3FF0000000000000  # the bits of 1.0
-    return x, clean
+    return x, exact
 
 
-def mid_ranks(order, first, nj):
-    """(u, sigma_mid) of q rows from their ``tie_groups`` and their counts
-    nj >= 1 of present entries: u (q, n) is (average rank - 1/2) / n_j at
-    the present entries and 0 at the missing ones."""
-    q, n = order.shape
-    present_sorted = np.arange(n) < nj[:, None]
+def mid_ranks(first, nj):
+    """(u, sigma_mid) of q rows in value order from their ``tie_groups``
+    ``first`` and their counts nj >= 1 of present entries, which come first:
+    u (q, n) is (average rank - 1/2) / n_j at the n_j present entries and 0
+    past them."""
+    q, n = first.shape
+    present = np.arange(n) < nj[:, None]
     # Tie groups of the present entries: ids, sizes and average ranks.
     gid = np.cumsum(first, axis=1) - 1 + n * np.arange(q)[:, None]
-    sizes = np.bincount(gid[present_sorted], minlength=n * q).reshape(q, n)
+    sizes = np.bincount(gid[present], minlength=n * q).reshape(q, n)
     half_rank = np.cumsum(sizes, axis=1) - sizes / 2.0  # exact: ranks are half-integers
-    u = np.zeros((q, n))
-    np.put_along_axis(u, order, half_rank.ravel()[gid] * present_sorted, axis=1)
+    u = half_rank.ravel()[gid] * present
     u /= nj[:, None]
     sigma = np.sqrt(np.maximum((1.0 - (sizes**3.0).sum(axis=1) / nj**3.0) / 12.0, 0.0))
     return u, sigma

@@ -1,19 +1,22 @@
 """Panel-at-once CR engine: the CR components of many columns in one pass.
 
-Every complete, tie-free column of length n has the mid-ranks (i - 1/2)/n in
-some order, so all such columns share one n x M score table T.  Their label
-correlations need only each column's labels in value order, and one matmul
-with T.  ``midrank.label_order`` gives those labels from one int64 sort of
-label-tagged keys of the whole block, for the columns whose keys all differ
-above the label bit.  The other columns (incomplete, tied, holding both
-zeros or two values one ulp apart) and every column when n is too short for
-T take ``midrank.tie_groups``: one argsort and one sort.  Those of them that
-are complete and tie-free after all take T with the labels gathered by their
-sort order; the rest take a batched form of the single-column path, where
-``mid_ranks`` gives their mid-ranks and ``recurrence_scores`` builds their
-scores under per-column weights 1/n_j, as both do for a single column.
-Which path a column takes depends on that column alone, and both routes to T
-give the same bits.
+A column's CR outputs depend only on the order of its values and on its
+labels (the mid-distribution), so the engine works in value order alone.
+``midrank.label_order`` sorts the int64 keys of a whole block once, each
+key carrying its entry's label in its last bit.  A row whose present keys
+all differ above that bit is exact: its labels come out in value order,
+with its n_j present entries first.  Only the rows with a tagged tie (real
+ties, both zeros, or two values one ulp apart) also take
+``midrank.tie_groups``, one argsort and one sort, and their labels are
+gathered by its order.
+
+Complete, tie-free columns of length n have the mid-ranks (i - 1/2)/n, so
+they share one n x M score table T, from ``grid_scores``.  Their label
+correlations take one matmul a column with T.  Every other column takes
+the batched masked path in value order: ``mid_ranks`` gives its mid-ranks
+from its tie-group starts, and ``recurrence_scores`` its scores under
+per-column weights 1/n_j.  T is that path's one-column case.  Which path a
+column takes depends on that column alone.
 
 The panel is a ``ColumnMatrix``: one (p, n) value matrix and its missing
 mask.  Columns are processed in blocks of BLOCK_CELLS // n rows of it, so
@@ -35,8 +38,8 @@ import numpy as np
 from .cr import label_correlations
 from .dataset import ColumnMatrix
 from .errors import NonFinite
-from .midrank import VariableColumn, label_order, mid_rank_transform, mid_ranks, tie_groups
-from .score_basis import DEFAULT_M, ScoreBasis, check_m, feasible_score_basis, recurrence_scores
+from .midrank import label_order, mid_ranks, tie_groups
+from .score_basis import DEFAULT_M, ScoreBasis, check_m, recurrence_scores
 
 # Cells (columns x rows) of one block; see the module docstring.
 BLOCK_CELLS = 2**17
@@ -58,23 +61,24 @@ class PanelCr:
 
 def grid_scores(n: int, m: int) -> ScoreBasis | None:
     """The m-score basis of the mid-rank grid (i - 1/2)/n, which every
-    complete, tie-free column of length n shares; None when the grid has
-    fewer than m scores."""
+    complete, tie-free column of length n shares: the masked path's scores
+    of one such column.  None when the grid has fewer than m scores."""
     if n < m + 2:
         return None
-    grid = mid_rank_transform(VariableColumn.from_values(np.arange(float(n))))
-    basis = feasible_score_basis(grid, m)
-    return basis if basis is not None and basis.m == m else None
+    scores, m_used, sigma, a, b = _masked_scores(np.ones((1, n), dtype=bool), np.array([n]), m)
+    if m_used[0] < m:
+        return None
+    return ScoreBasis(m=m, score_matrix=scores[:, 0].T, sigma_mid=float(sigma[0]), a=a[0], b=b[0])
 
 
 def panel_cr(variables: ColumnMatrix, labels, m: int) -> PanelCr:
     """CR components with up to m >= 1 scores of every column of the
     ``ColumnMatrix`` ``variables``.
 
-    Complete, tie-free columns take the shared ``grid_scores`` table, or
-    the masked path when it has fewer than m scores.  A non-missing NaN or
-    infinite value in a column with at least two non-missing entries raises
-    NonFinite naming it.
+    Complete, tie-free columns take the shared ``grid_scores`` table; the
+    other columns, and all of them when the table has fewer than m scores,
+    take the masked path.  A non-missing NaN or infinite value in a column
+    with at least two non-missing entries raises NonFinite naming it.
     """
     check_m(m)
     y = np.asarray(labels)
@@ -105,45 +109,43 @@ def _block(cols, y, m, grid, out, start):
     if bad.size:
         raise NonFinite(f"variable {cols.names[bad[0]]!r}: non-missing NaN or infinite value")
 
+    # Every row in value order, NaN at missing cells sorting last: the
+    # labels ys, and the entries that start a new distinct value.
+    x = cols.values.copy()
+    if nj.min() < n:
+        np.copyto(x, np.nan, where=cols.missing)
+    ys, exact = label_order(x, y)
+    first = np.ones((q, n), dtype=bool)
+    distinct = nj.copy()
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        order, first[slow] = tie_groups(np.where(cols.missing[slow], np.nan, cols.values[slow]))
+        ys[slow] = y[order]
+        del order
+        distinct[slow] = (first[slow] & (np.arange(n) < nj[slow, None])).sum(axis=1)
+
     flags = np.full(q, "", dtype=object)
     flags[(n1 < 2) | (nj - n1 < 2)] = "class-too-small"
-    views = [v[start : start + q] for v in (out.components, out.m_used, out.sigma_mid, out.a, out.b)]
-
-    clean = np.zeros(q, dtype=bool)
-    if grid is not None:
-        labels, clean = label_order(np.where(present, cols.values, np.nan), y)
-        shared = clean & (flags == "")
-        if shared.any():
-            _shared(shared, labels if shared.all() else labels[shared], n1, grid, views)
-        del labels  # freed before the other rows' sorts below
-
-    # The other rows: their tie groups, then the shared table for those that
-    # are complete and tie-free after all (values one ulp apart).
-    slow = np.flatnonzero(~clean)
-    if slow.size:
-        order, first = tie_groups(np.where(present[slow], cols.values[slow], np.nan))
-        distinct = (first & (np.arange(n) < nj[slow, None])).sum(axis=1)
-        slow_flags = flags[slow]
-        slow_flags[distinct == 1] = "constant"
-        slow_flags[nj[slow] < 2] = "all-missing"
-        flags[slow] = slow_flags
-        ok = slow_flags == ""
-        tie_free = ok & (nj[slow] == n) & (distinct == n) & (grid is not None)
-        if tie_free.any():
-            _shared(slow[tie_free], y[order[tie_free]], n1, grid, views)
-        masked = np.flatnonzero(ok & ~tie_free)  # positions in slow
-        if masked.size:
-            comps, m_used, sigma, a, b = views
-            # See the module docstring; M <= DEFAULT_M takes one run.
-            run = max(1, DEFAULT_M * BLOCK_CELLS // (min(m, n - 2) * n))
-            for lo in range(0, masked.size, run):
-                part = masked[lo : lo + run]
-                rows = slow[part]
-                comps[rows], m_used[rows], sigma[rows], a[rows], b[rows] = _masked(
-                    order[part], first[part], present[rows], nj[rows], n1[rows], y, m
-                )
-            reduced = slow[masked][m_used[slow[masked]] < m]
-            flags[reduced] = [f"reduced-m:{k}" for k in m_used[reduced]]
+    flags[distinct == 1] = "constant"
+    flags[nj < 2] = "all-missing"
+    ok = flags == ""
+    shared = ok & (distinct == n) & (grid is not None)
+    comps, m_used, sigma, a, b = views = [
+        v[start : start + q] for v in (out.components, out.m_used, out.sigma_mid, out.a, out.b)
+    ]
+    if shared.any():
+        _shared(shared, ys if shared.all() else ys[shared], n1, grid, views)
+    masked = np.flatnonzero(ok & ~shared)
+    if masked.size:
+        # See the module docstring; M <= DEFAULT_M takes one run.
+        run = max(1, DEFAULT_M * BLOCK_CELLS // (min(m, n - 2) * n))
+        for lo in range(0, masked.size, run):
+            rows = masked[lo : lo + run]
+            comps[rows], m_used[rows], sigma[rows], a[rows], b[rows] = _masked(
+                first[rows], ys[rows], nj[rows], n1[rows], m
+            )
+        reduced = masked[m_used[masked] < m]
+        flags[reduced] = [f"reduced-m:{k}" for k in m_used[reduced]]
 
     out.n_effective[start : start + q] = nj
     out.flags[start : start + q] = flags.tolist()
@@ -166,24 +168,28 @@ def _shared(rows, ys, n1, grid, views):
     sigma[rows], a[rows], b[rows] = grid.sigma_mid, grid.a, grid.b
 
 
-def _masked(order, first, present, nj, n1, y, m):
+def _masked(first, ys, nj, n1, m):
     """Components (q, m), m_used, sigma_mid, a and b, as in PanelCr, of q
-    non-degenerate columns with ties or missing entries.  ``first`` marks, in
-    each column's sort order, the entries that start a new distinct value."""
+    non-degenerate columns in value order: ``first`` marks the entries that
+    start a new distinct value, ys holds the labels, and each column's n_j
+    present entries come first."""
     # No column has more than n_j - 2 scores; what lies past them is zeroed.
     k = min(m, int(nj.max()) - 2)
-    scores, m_used, sigma, a, b = _masked_scores(order, first, present, nj, k)
-    r, keep = label_correlations(scores, y, nj, n1), np.arange(m) < m_used[:, None]
+    scores, m_used, sigma, a, b = _masked_scores(first, nj, k)
+    r, keep = label_correlations(scores, ys, nj, n1), np.arange(m) < m_used[:, None]
     comps, a, b = (np.where(kept, np.pad(v, ((0, 0), (0, m - k))), 0.0)
                    for v, kept in ((r.T, keep), (a, keep[:, 1:]), (b, keep)))
     return comps, m_used, sigma, a, b
 
 
-def _masked_scores(order, first, present, nj, m):
-    """Scores (m, q, n), zero at missing entries, m_used, sigma_mid, a and b of
-    q columns; the first m_used scores of each are orthonormal under weights 1/n_j."""
-    u, sigma = mid_ranks(order, first, nj)
-    w = present.astype(float)
+def _masked_scores(first, nj, m):
+    """Scores (m, q, n), m_used, sigma_mid, a and b of q columns in value
+    order, each with its n_j present entries first and ``first`` marking
+    the entries that start a new distinct value.  The scores are zero past
+    the n_j present entries, and the first m_used of each column are
+    orthonormal under weights 1/n_j."""
+    u, sigma = mid_ranks(first, nj)
+    w = (np.arange(first.shape[1]) < nj[:, None]).astype(float)
     s1 = (u - 0.5) / sigma[:, None] * w
     scores, m_used, a, b = recurrence_scores(s1, w, nj, m)
     return scores, m_used, sigma, a, b

@@ -52,44 +52,21 @@ def check_m(m, n=None):
 
 
 def build_score_basis(mid: MidRankVector, m: int = DEFAULT_M) -> ScoreBasis:
+    """The m-score basis of one column's mid-ranks: the one-column case of
+    ``recurrence_scores``."""
     check_m(m)
     if mid.sigma_mid <= 0.0:
         raise DegenerateVariable("constant column: sigma_mid = 0")
-    if mid.n_effective <= m + 1:
-        raise RankDeficient(f"need more than {m + 1} observations for m={m}")
-    basis, b = _basis(mid, m)
-    if basis.m < m:
-        norm = np.prod(b[: basis.m + 1])
-        raise RankDeficient(
-            f"residual norm {norm:.3e} below {RESIDUAL_NORM_FLOOR} at score {basis.m + 1}"
-        )
-    return basis
-
-
-def feasible_score_basis(mid: MidRankVector, m: int) -> ScoreBasis | None:
-    """The largest basis build_score_basis can deliver with at most m scores.
-
-    That is the first min(m, n - 2) scores, cut before the first whose
-    residual norm falls below RESIDUAL_NORM_FLOOR; None when no score is
-    left or the column is constant.
-    """
-    m = min(m, mid.n_effective - 2)
-    if m < 1 or mid.sigma_mid <= 0.0:
-        return None
-    return _basis(mid, m)[0]
-
-
-def _basis(mid: MidRankVector, m: int):
-    """(basis of up to m scores, b_1..b_m): the one-column case of
-    ``recurrence_scores``."""
     n = mid.n_effective
+    if n <= m + 1:
+        raise RankDeficient(f"need more than {m + 1} observations for m={m}")
     s1 = (np.asarray(mid.u, dtype=float) - 0.5) / mid.sigma_mid
     scores, m_used, a, b = recurrence_scores(s1[None], np.ones((1, n)), np.array([n]), m)
     k = int(m_used[0])
-    basis = ScoreBasis(
-        m=k, score_matrix=scores[:k, 0].T, sigma_mid=mid.sigma_mid, a=a[0, : k - 1], b=b[0, :k]
-    )
-    return basis, b[0]
+    if k < m:
+        norm = np.prod(b[0, : k + 1])
+        raise RankDeficient(f"residual norm {norm:.3e} below {RESIDUAL_NORM_FLOOR} at score {k + 1}")
+    return ScoreBasis(m=m, score_matrix=scores[:, 0].T, sigma_mid=mid.sigma_mid, a=a[0], b=b[0])
 
 
 def recurrence_scores(s1, w, nj, m: int):

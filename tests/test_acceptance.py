@@ -186,13 +186,13 @@ def test_criterion_2_engine_masked_scores_orthonormal():
         m = 4 if trial % 2 else 6
         cols = engine_columns(rng, n, 40)
         x = np.array([np.where(c.missing, np.nan, c.values) for c in cols])
-        present = ~np.isnan(x)
-        order = np.argsort(x, axis=1)
-        xs = np.take_along_axis(x, order, axis=1)
+        # In value order: each column's present entries first, NaN last.
+        xs = np.sort(x, axis=1)
         first = np.ones(x.shape, dtype=bool)
         first[:, 1:] = xs[:, 1:] != xs[:, :-1]
-        nj = present.sum(axis=1)
-        scores, m_used, *_ = panel._masked_scores(order, first, present, nj, m)
+        nj = (~np.isnan(x)).sum(axis=1)
+        present = np.arange(n) < nj[:, None]
+        scores, m_used, *_ = panel._masked_scores(first, nj, m)
         for q in range(len(cols)):
             s = scores[: m_used[q], q]
             gram = s @ s.T / nj[q]
@@ -233,13 +233,11 @@ def test_engine_identities_at_m_7_and_8():
                 tie_free = keep.all() and np.unique(col.values).size == n
                 full["shared" if tie_free else "masked"] += int(k == m)
             x = np.array([np.where(c.missing, np.nan, c.values) for c in cols])
-            present = ~np.isnan(x)
-            order = np.argsort(x, axis=1)
-            xs = np.take_along_axis(x, order, axis=1)
+            xs = np.sort(x, axis=1)  # value order, NaN last
             first = np.ones(x.shape, dtype=bool)
             first[:, 1:] = xs[:, 1:] != xs[:, :-1]
-            nj = present.sum(axis=1)
-            scores, m_used, *_ = panel._masked_scores(order, first, present, nj, m)
+            nj = (~np.isnan(x)).sum(axis=1)
+            scores, m_used, *_ = panel._masked_scores(first, nj, m)
             for q in range(len(cols)):
                 s = scores[: m_used[q], q]
                 worst["masked"] = max(

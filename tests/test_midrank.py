@@ -153,31 +153,54 @@ def keyed_rows(draw):
 @given(keyed_rows())
 def test_label_order_gives_the_sorted_labels_of_exactly_the_distinct_key_rows(case):
     x, y = case
-    labels, clean = label_order(x.copy(), y)
+    labels, exact = label_order(x.copy(), y)
     order, first = tie_groups(x)
-    complete = ~np.isnan(x).any(axis=1)
-    # Every clean row is complete and tie-free, and its labels are y in the
-    # order of its values, bit for bit.
-    assert np.all(complete[clean]) and np.all(first[clean])
+    present = ~np.isnan(x)
+    nj = present.sum(axis=1)
     want = y.astype(float)[order]
-    np.testing.assert_array_equal(labels[clean].view(np.int64), want[clean].view(np.int64))
-    # A complete row is clean exactly when no two of its values share their
+    # An exact row's present values are tie-free and sort first, and its
+    # labels there are y in the order of its values, bit for bit.
+    for i in np.flatnonzero(exact):
+        assert np.all(first[i, : nj[i]])
+        np.testing.assert_array_equal(
+            labels[i, : nj[i]].view(np.int64), want[i, : nj[i]].view(np.int64)
+        )
+    assert set(labels.view(np.int64).ravel().tolist()) <= {0, 0x3FF0000000000000}
+    # A row is exact exactly when no two of its present values share their
     # bits above the last one, -0.0 counted as +0.0.
     high = (x + 0.0).view(np.int64) >> 1
-    distinct_keys = np.array([np.unique(row).size == x.shape[1] for row in high])
-    np.testing.assert_array_equal(clean, complete & distinct_keys)
+    distinct_keys = [np.unique(h[keep]).size == keep.sum() for h, keep in zip(high, present)]
+    np.testing.assert_array_equal(exact, distinct_keys)
 
 
 def test_label_order_leaves_ties_both_zeros_and_neighbours_to_the_sort():
     one_up = np.nextafter(1.0, 2.0)
     x = np.array([
-        [3.0, -1.0, 2.0, 0.0],  # distinct, with one zero: clean
+        [3.0, -1.0, 2.0, 0.0],  # distinct, with one zero: exact
         [-0.0, -1.0, 2.0, 0.0],  # -0.0 == 0.0
         [1.0, one_up, 2.0, 3.0],  # distinct values whose keys differ in the last bit only
         [1.0, 1.0, 2.0, 3.0],
-        [1.0, np.nan, 2.0, 3.0],
+        [1.0, np.nan, 2.0, 3.0],  # distinct present values: exact
+        [np.nan, 1.0, np.nan, 1.0],  # a tie among the present values
     ])
     y = np.array([1, 0, 0, 1])
-    labels, clean = label_order(x.copy(), y)
-    assert clean.tolist() == [True, False, False, False, False]
+    labels, exact = label_order(x.copy(), y)
+    assert exact.tolist() == [True, False, False, False, True, False]
     np.testing.assert_array_equal(labels[0], [0.0, 1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(labels[4, :3], [1.0, 0.0, 1.0])
+
+
+def test_a_tie_free_column_with_missing_cells_is_exact():
+    """Its NaN keys sort last and tie only among themselves, so its first
+    n_j labels are y in the order of its values without a second sort."""
+    rng = np.random.default_rng(3)
+    n = 50
+    x = rng.normal(size=(4, n))
+    x[rng.random((4, n)) < 0.3] = np.nan
+    y = rng.permutation(np.arange(n) % 2)
+    labels, exact = label_order(x.copy(), y)
+    assert exact.all()
+    want = y.astype(float)[np.argsort(x, axis=1)]
+    for i, nj in enumerate((~np.isnan(x)).sum(axis=1)):
+        assert 0 < nj < n
+        np.testing.assert_array_equal(labels[i, :nj].view(np.int64), want[i, :nj].view(np.int64))

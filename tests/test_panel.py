@@ -24,7 +24,7 @@ from cdmine.dataset import ColumnMatrix, Dataset, load_csv
 from cdmine.errors import ConfigError, NonFinite
 from cdmine.midrank import VariableColumn, label_order, mid_rank_transform
 from cdmine.pipeline import analyze
-from cdmine.score_basis import feasible_score_basis
+from cdmine.score_basis import build_score_basis
 
 CATEGORIES = ("mean", "variance", "skewness", "tail")
 KINDS = (
@@ -173,7 +173,7 @@ def test_curve_coefficients_are_the_engine_components(case):
     for i in np.flatnonzero(out.m_used):
         col, k = ds.variables[i], out.m_used[i]
         mid = mid_rank_transform(col)
-        basis = feasible_score_basis(mid, k)
+        basis = build_score_basis(mid, k)
         assert basis.m == k, col.name
         data = TwoSampleData.from_arrays(mid.u, ds.labels[~col.missing])
         want = out.components[i, :k] * np.sqrt((1.0 - data.pi_hat) / data.pi_hat)
@@ -325,7 +325,7 @@ def test_both_paths_agree_on_a_complete_tie_free_column():
 
 
 def every_row_sorted(x, y):
-    """``label_order`` with no clean row: every column takes ``tie_groups``."""
+    """``label_order`` with no exact row: every column takes ``tie_groups``."""
     return x, np.zeros(len(x), dtype=bool)
 
 
@@ -354,6 +354,30 @@ def test_one_ulp_and_both_zero_columns_take_the_sort_and_keep_their_rows():
     grid = panel.grid_scores(n, 4)
     # The one-ulp column is tie-free, so the sort sends it to the shared table.
     assert got.sigma_mid[1] == grid.sigma_mid and got.sigma_mid[2] < grid.sigma_mid
+
+
+def test_only_rows_with_a_tagged_tie_take_the_sort():
+    """A tie-free column with NA cells is exact: it takes the masked path in
+    the order of its label keys, without ``tie_groups``, and its row equals
+    the one a sort of every column gives, bit for bit."""
+    rng = np.random.default_rng(13)
+    n, p = 60, 12
+    y = np.arange(n) % 2
+    values = rng.normal(size=(p, n)) + y
+    values[: p // 3] = np.round(values[: p // 3], 1)  # tied
+    missing = rng.random((p, n)) < 0.1
+    missing[:, 0] = True
+    assert all(np.unique(row[~gap]).size < (~gap).sum() for row, gap in
+               zip(values[: p // 3], missing[: p // 3]))
+    cols = ColumnMatrix(values, missing, [f"v{j}" for j in range(p)])
+    with mock.patch.object(panel, "tie_groups", wraps=panel.tie_groups) as sort:
+        got = panel.panel_cr(cols, y, 4)
+    assert sort.call_count == 1
+    np.testing.assert_array_equal(sort.call_args.args[0], np.where(missing, np.nan, values)[: p // 3])
+    assert (got.m_used == 4).all()
+    with mock.patch.object(panel, "label_order", every_row_sorted):
+        want = panel.panel_cr(cols, y, 4)
+    assert_same_rows(got, want)
 
 
 @settings(max_examples=40, deadline=None)
