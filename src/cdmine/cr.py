@@ -76,10 +76,10 @@ def categorize_rows(rows: np.ndarray) -> list:
     total = sq.sum(axis=1)
     top = sq.argmax(axis=1)
     dominant = (total > 0.0) & (sq[np.arange(len(sq)), top] > 0.5 * total)
-    return [
-        CATEGORY_BY_COMPONENT.get(t + 1, "mixed") if d else "mixed"
-        for t, d in zip(top.tolist(), dominant.tolist())
-    ]
+    m = sq.shape[1]
+    names = np.array([CATEGORY_BY_COMPONENT.get(t + 1, "mixed") for t in range(m)] + ["mixed"],
+                     dtype=object)
+    return names[np.where(dominant, top, m)].tolist()
 
 
 def rank_variables(cr) -> np.ndarray:

@@ -5,10 +5,11 @@ sample reduces to (average_rank - 0.5) / n.  Ties always take average ranks,
 so discrete, continuous and ordered-categorical columns go through the same
 code path.  Missing entries are dropped per column (pairwise deletion).
 
-The batched functions work in value order: ``label_order`` and
-``tie_groups`` sort each row of a block with its missing cells last, and
-``mid_ranks`` gives the mid-ranks in that order.  ``mid_rank_transform``
-scatters one column's mid-ranks back to input order.
+The batched functions work in value order: ``label_order`` (a float sort
+of label-tagged doubles) and ``tie_groups`` sort each row of a block with
+its missing cells last, and ``mid_ranks`` gives the mid-ranks in that
+order.  ``mid_rank_transform`` scatters one column's mid-ranks back to
+input order.
 """
 
 from __future__ import annotations
@@ -89,45 +90,56 @@ def tie_groups(x):
     return order, first
 
 
-# The int64 key of +inf with its label bit set.  Every non-NaN value's tagged
-# key lies in [~_INF_KEY, _INF_KEY]; a NaN's, quiet after x + 0.0, outside.
-_INF_KEY = 0x7FF0000000000001
+def label_order(x, y, nj):
+    """(labels, exact, finite) of the rows of a (q, n) matrix x of values
+    + 0.0 (no -0.0), NaN (np.nan) at missing cells, with nj present cells
+    a row, and n 0/1 labels y.  ``x`` is overwritten: its buffer becomes
+    ``labels``.
 
-
-def label_order(x, y):
-    """(labels, exact) of the rows of a (q, n) value matrix, NaN (np.nan) at
-    missing cells, and n 0/1 labels y.  ``x`` is overwritten: its buffer
-    becomes ``labels``.
-
-    Each value maps to an order-preserving int64 key (the bits of x + 0.0,
-    so that -0.0 and +0.0 share a key, with the magnitude bits flipped when
-    negative), whose last bit is then replaced by the entry's label, and
-    each row's keys are sorted.  A missing cell's key lies above every
-    value's, so a row's n_j present keys come first.  ``exact`` marks the
-    rows whose present keys all differ above the last bit.  An exact row's
-    present values are distinct and in key order, so its first n_j labels
-    hold y in the order of its values as 0.0/1.0: ``y[np.argsort(row)]``,
-    bit for bit.  Every other entry of ``labels`` is 0.0 or 1.0.
+    Each entry's label replaces the last bit of its double, and each row is
+    sorted as doubles, so its n_j present entries come first.  The tag keeps
+    the order of values whose keys (the bits above the last) differ, except
+    that -5e-324 labelled 0 tags to -0.0, which sorts on either side of a
+    +0.0.  ``exact`` marks the rows whose present keys all differ: a
+    sign-blind screen finds every sorted neighbour pair with equal bits 1 to
+    62, and only rows where such a pair straddles zero or is x and -x, with
+    no tie, have their tagged bits sorted again as int64.  An exact row's
+    first n_j labels hold y in the order of its values as 0.0/1.0, bit for
+    bit; every other entry of ``labels`` is 0.0 or 1.0.  ``finite`` marks
+    the rows whose first and n_j-th sorted entries are finite, as all their
+    present values are then: -inf sorts first, +inf labelled 0 last of the
+    non-NaN entries, and a NaN (also +-inf labelled 1) past the n_j-th.
     """
-    np.add(x, 0.0, out=x)
+    q, n = x.shape
     k = x.view(np.int64)
-    flip = k >> 63  # -1 where negative, else 0
-    flip &= 0x7FFFFFFFFFFFFFFF
-    k ^= flip
-    del flip
     k &= -2
     k |= np.asarray(y, dtype=np.int64)
-    k.sort(axis=1)
-    tied = (k[:, 1:] ^ k[:, :-1]).view(np.uint64) <= 1
-    exact = ~tied.any(axis=1)
-    # Missing cells' keys, which sort last, tie only among themselves.
-    holes = np.flatnonzero(~exact & (k[:, -1] > _INF_KEY))
-    exact[holes] = ~(tied[holes] & (k[holes, :-1] <= _INF_KEY)).any(axis=1)
-    del tied
-    exact &= k[:, 0] >= ~_INF_KEY  # a negative NaN would sort first
+    x.sort(axis=1)
+    finite = np.isfinite(x[:, 0]) & np.isfinite(x[np.arange(q), np.maximum(nj - 1, 0)])
+    # Neighbours' XOR in one flat pass; the last column pairs two rows.
+    d = np.empty((q, n), dtype=np.int64)
+    np.bitwise_xor(k.ravel()[1:], k.ravel()[:-1], out=d.reshape(-1)[:-1])
+    d[:, -1] = -1
+    d = d.view(np.uint64)
+    d <<= 1
+    near = np.flatnonzero(d.min(axis=1) <= 2)
+    del d
+    exact = np.ones(q, dtype=bool)
+    if near.size:
+        # Pairs of missing cells' NaNs, which sort last, are no tie.
+        pairs = np.arange(n - 1) < nj[near, None] - 1
+        d = (k[near, 1:] ^ k[near, :-1]).view(np.uint64)
+        screened = (((d << 1) <= 2) & pairs).any(axis=1)
+        exact[near] = ~screened
+        # No tie, but a pair across zero or x next to -x: as int64, the
+        # bits that share a key are neighbours, and NaNs still sort last.
+        again = screened & ~((d <= 1) & pairs).any(axis=1)
+        ka = np.sort(k[near[again]], axis=1)
+        tied = ((ka[:, 1:] ^ ka[:, :-1]).view(np.uint64) <= 1) & pairs[again]
+        exact[near[again]] = ~tied.any(axis=1)
     k &= 1
     k *= 0x3FF0000000000000  # the bits of 1.0
-    return x, exact
+    return x, exact, finite
 
 
 def mid_ranks(first, nj):

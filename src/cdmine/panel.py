@@ -2,13 +2,16 @@
 
 A column's CR outputs depend only on the order of its values and on its
 labels (the mid-distribution), so the engine works in value order alone.
-``midrank.label_order`` sorts the int64 keys of a whole block once, each
-key carrying its entry's label in its last bit.  A row whose present keys
-all differ above that bit is exact: its labels come out in value order,
-with its n_j present entries first.  Only the rows with a tagged tie (real
-ties, both zeros, or two values one ulp apart) also take
-``midrank.tie_groups``, one argsort and one sort, and their labels are
-gathered by its order.
+``midrank.label_order`` puts each entry's label in the last bit of its
+double and sorts a whole block once as doubles.  A row whose present keys
+(the bits above the label bit) all differ is exact: its labels come out in
+value order, with its n_j present entries first.  A sign-blind screen of
+sorted neighbours sends the rare rows that straddle zero or hold x next to
+-x to a second, int64 sort; only the rows with a tie (real ties, both
+zeros, or two values one ulp apart) also take ``midrank.tie_groups``, one
+argsort and one sort, and their labels are gathered by its order.  Only rows with
+a missing cell count n_j and their class-1 labels, and a non-finite
+present value is read off each row's first and n_j-th sorted entries.
 
 Complete, tie-free columns of length n have the mid-ranks (i - 1/2)/n, so
 they share one n x M score table T, from ``grid_scores``.  Their label
@@ -21,12 +24,11 @@ column takes depends on that column alone.
 The panel is a ``ColumnMatrix``: one (p, n) value matrix and its missing
 mask.  Columns are processed in blocks of BLOCK_CELLS // n rows of it, so
 each (q, n) temporary of a block holds about BLOCK_CELLS values (1 MB)
-whatever n is.  At that size the heap reuses a block's temporaries for the
-next block, rather than returning them to the OS and faulting them in
-again.  A block's values and mask are slices of the matrix.  The masked
-path's (k, q, n) scores, k = min(M, n - 2), are built for runs of at most
-DEFAULT_M * BLOCK_CELLS // (k * n) columns, so they never hold more than
-the whole block's at the default M.
+whatever n is; whether the heap keeps them for the next block or gives
+them back to the OS is up to glibc.  A block's values and mask are slices
+of the matrix.  The masked path's (k, q, n) scores, k = min(M, n - 2), are
+built for runs of at most DEFAULT_M * BLOCK_CELLS // (k * n) columns, so
+they never hold more than the whole block's at the default M.
 """
 
 from __future__ import annotations
@@ -102,19 +104,20 @@ def panel_cr(variables: ColumnMatrix, labels, m: int) -> PanelCr:
 
 def _block(cols, y, m, grid, out, start):
     n, q = y.size, len(cols)
-    present = ~cols.missing
-    nj = present.sum(axis=1)
-    n1 = present @ y
-    bad = np.flatnonzero((nj >= 2) & (present & ~np.isfinite(cols.values)).any(axis=1))
+    # Every row in value order, NaN at missing cells sorting last: the
+    # labels ys, and the entries that start a new distinct value.  Only
+    # rows with a missing cell count their present entries.
+    x = np.add(cols.values, 0.0)  # a copy with -0.0 made +0.0
+    nj, n1 = np.full(q, n), np.full(q, y.sum())
+    holes = np.flatnonzero(cols.missing.any(axis=1))
+    if holes.size:
+        present = ~cols.missing[holes]
+        nj[holes], n1[holes] = present.sum(axis=1), present @ y
+        x[holes] = np.where(present, x[holes], np.nan)
+    ys, exact, finite = label_order(x, y, nj)
+    bad = np.flatnonzero((nj >= 2) & ~finite)
     if bad.size:
         raise NonFinite(f"variable {cols.names[bad[0]]!r}: non-missing NaN or infinite value")
-
-    # Every row in value order, NaN at missing cells sorting last: the
-    # labels ys, and the entries that start a new distinct value.
-    x = cols.values.copy()
-    if nj.min() < n:
-        np.copyto(x, np.nan, where=cols.missing)
-    ys, exact = label_order(x, y)
     first = np.ones((q, n), dtype=bool)
     distinct = nj.copy()
     slow = np.flatnonzero(~exact)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -151,9 +151,18 @@ def keyed_rows(draw):
 
 @settings(max_examples=250, deadline=None)
 @given(keyed_rows())
+# -5e-324 labelled 0 tags to -0.0, which sorts on either side of a +0.0
+@example(case=(np.array([[-5e-324, 0.0, -5e-324]]), np.array([1, 0, 0])))
+# x next to -x, and a tie-free row straddling zero
+@example(case=(np.array([[1.5, -1.5, 3.0, -7.0], [-5e-324, 0.0, 2.0, -3.0]]),
+               np.array([0, 0, 1, 1])))
+# NA cells, around distinct, tied and zero-straddling present values
+@example(case=(np.array([[np.nan, 2.0, np.nan, -1.0, np.nan], [np.nan, 2.0, np.nan, 2.0, 0.5],
+                         [np.nan, -5e-324, np.nan, 0.0, 1.0]]),
+               np.array([1, 0, 1, 0, 0])))
 def test_label_order_gives_the_sorted_labels_of_exactly_the_distinct_key_rows(case):
     x, y = case
-    labels, exact = label_order(x.copy(), y)
+    labels, exact, _ = label_order(x + 0.0, y, (~np.isnan(x)).sum(axis=1))
     order, first = tie_groups(x)
     present = ~np.isnan(x)
     nj = present.sum(axis=1)
@@ -184,7 +193,7 @@ def test_label_order_leaves_ties_both_zeros_and_neighbours_to_the_sort():
         [np.nan, 1.0, np.nan, 1.0],  # a tie among the present values
     ])
     y = np.array([1, 0, 0, 1])
-    labels, exact = label_order(x.copy(), y)
+    labels, exact, _ = label_order(x + 0.0, y, (~np.isnan(x)).sum(axis=1))
     assert exact.tolist() == [True, False, False, False, True, False]
     np.testing.assert_array_equal(labels[0], [0.0, 1.0, 0.0, 1.0])
     np.testing.assert_array_equal(labels[4, :3], [1.0, 0.0, 1.0])
@@ -198,7 +207,7 @@ def test_a_tie_free_column_with_missing_cells_is_exact():
     x = rng.normal(size=(4, n))
     x[rng.random((4, n)) < 0.3] = np.nan
     y = rng.permutation(np.arange(n) % 2)
-    labels, exact = label_order(x.copy(), y)
+    labels, exact, _ = label_order(x + 0.0, y, (~np.isnan(x)).sum(axis=1))
     assert exact.all()
     want = y.astype(float)[np.argsort(x, axis=1)]
     for i, nj in enumerate((~np.isnan(x)).sum(axis=1)):

@@ -324,9 +324,9 @@ def test_both_paths_agree_on_a_complete_tie_free_column():
     np.testing.assert_allclose(table, masked, atol=TOL)
 
 
-def every_row_sorted(x, y):
+def every_row_sorted(x, y, nj):
     """``label_order`` with no exact row: every column takes ``tie_groups``."""
-    return x, np.zeros(len(x), dtype=bool)
+    return x, np.zeros(len(x), dtype=bool), np.ones(len(x), dtype=bool)
 
 
 def assert_same_rows(got, want):
@@ -346,7 +346,7 @@ def test_one_ulp_and_both_zero_columns_take_the_sort_and_keep_their_rows():
     values[2, :2] = 0.0, -0.0  # tied: -0.0 == 0.0
     values[3, 7] = -0.0  # one zero only
     cols = ColumnMatrix(values, np.zeros((p, n), dtype=bool), [f"v{j}" for j in range(p)])
-    assert label_order(values.copy(), y)[1].tolist() == [True, False, False, True, True]
+    assert label_order(values + 0.0, y, np.full(p, n))[1].tolist() == [True, False, False, True, True]
     got = panel.panel_cr(cols, y, 4)
     with mock.patch.object(panel, "label_order", every_row_sorted):
         want = panel.panel_cr(cols, y, 4)
@@ -423,6 +423,35 @@ def test_non_missing_inf_is_a_located_error():
     ds = Dataset(variables=cols, labels=np.arange(n) % 2, positive_label="1", n=n, p=2)
     with pytest.raises(NonFinite, match=r"^variable 'gene 7': "):
         analyze(ds)
+
+
+@pytest.mark.parametrize("with_na", [False, True], ids=["complete", "with-na"])
+@pytest.mark.parametrize("label", [0, 1])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_a_non_finite_cell_past_the_first_block_names_the_first_bad_column(bad, label, with_na):
+    """Each kind of non-finite present cell, on a row of either label (+inf
+    and -inf labelled 1 tag to NaNs), in a complete column or one with NA
+    cells: the error names the first column with two or more present cells
+    that holds one.  A column whose one present cell is non-finite is
+    all-missing, not an error."""
+    n = WIDE_N
+    block = panel.BLOCK_CELLS // n
+    p = block + 40
+    values = np.random.default_rng(9).normal(size=(p, n))
+    missing = np.zeros((p, n), dtype=bool)
+    y = np.arange(n) % 2
+    if with_na:
+        missing[:, ::9] = True
+    row = np.flatnonzero(y == label)[1]  # a present row of that label
+    assert not missing[:, row].any()
+    missing[3] = True
+    for j in (3, block + 5, block + 20):
+        values[j, row] = bad
+        missing[j, row] = False
+    values[missing] = np.nan
+    cols = ColumnMatrix(values, missing, [f"g{j}" for j in range(p)])
+    with pytest.raises(NonFinite, match=rf"^variable 'g{block + 5}': "):
+        panel.panel_cr(cols, y, 4)
 
 
 def test_m_below_one_is_a_config_error():
